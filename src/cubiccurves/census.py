@@ -3,9 +3,10 @@
 A family is a standard-form class (b1 >= ... >= b6 >= 0, a >= b1+b2+b3)
 with a smooth member (a > b1).  For fixed degree d the coefficient sum is
 pinned to 3a - d and a is confined to [ceil(d/3), d], so enumeration is a
-bounded partition walk.  Census records are pure functions of the class and
-are merged in a fixed (d, g, class) order, so the CSV output is
-byte-identical no matter how many worker threads run.
+bounded partition walk.  Census records are pure functions of the class,
+each built from one CurveFacts pass, and are merged in a fixed (d, g, class)
+order, so the CSV output is byte-identical no matter how many worker threads
+run.
 """
 
 from __future__ import annotations
@@ -16,17 +17,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cohomology import h0
-from .curve import abnormality, hodge_genus_bound, invariants
+from .curve import curve_facts, hodge_genus_bound, invariants
 from .errors import DegreeTooSmall, GenusOutOfHodgeRange, NonPositiveDegree
-from .lattice import K, DivisorClass
+from .lattice import DivisorClass
 from .obstruction import (
     HilbertDimResult,
     KleppeVerdict,
     ObstructionVerdict,
-    classify,
-    hilbert_dim,
-    kleppe_verdict,
+    dim_of,
+    kleppe_of,
+    verdict_of,
 )
 
 
@@ -92,24 +92,25 @@ class CensusRecord:
 
 
 def _record(cls: DivisorClass) -> CensusRecord:
-    d, g = invariants(cls)
-    defects = {n: abnormality(cls, n) for n in (1, 2, 3)}
+    """The census record of cls, read off one curve_facts pass."""
+    facts = curve_facts(cls)
     normality = 0
-    for n in (1, 2, 3):
-        if defects[n] != 0:
+    for n, defect in enumerate(facts.defects, start=1):
+        if defect != 0:
             break
         normality = n
+    verdict = verdict_of(facts)
     return CensusRecord(
         cls=cls,
-        d=d,
-        g=g,
-        h1_ic3=defects[3],
-        h2=h0(cls + 4 * K),
+        d=facts.d,
+        g=facts.g,
+        h1_ic3=facts.defects[2],
+        h2=facts.h2,
         normality=normality,
-        verdict=classify(cls),
-        dim=hilbert_dim(cls),
-        kleppe=kleppe_verdict(cls),
-        dim_w=d + g + 18,
+        verdict=verdict,
+        dim=dim_of(facts, verdict),
+        kleppe=kleppe_of(facts),
+        dim_w=facts.d + facts.g + 18,
     )
 
 
@@ -119,8 +120,9 @@ def census_range(
     """Records for every family with d in [d_min, d_max], g in [g_min, g_max].
 
     g cells beyond the Hodge bound of their degree are skipped entirely;
-    the summary counts only cells within the bound.  threads is a speed
-    hint, the merge order is fixed, so output is deterministic.
+    the summary counts only cells within the bound.  Each record comes from
+    a single curve_facts pass over its class (see _record).  threads is a
+    speed hint, the merge order is fixed, so output is deterministic.
     """
     if d_min <= 9:
         raise DegreeTooSmall(f"census needs d_min > 9, got {d_min}")

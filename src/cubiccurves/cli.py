@@ -9,22 +9,25 @@ parse error, 2 precondition failure (invalid class for the operation),
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import re
 import sys
 from pathlib import Path
 
-from .census import census_csv, census_range
+from .census import _kleppe_text, census_csv, census_range
 from .cohomology import cohomology
-from .curve import invariants, has_smooth_member, normality_profile
+from .curve import curve_facts, invariants, has_smooth_member, normality_profile
 from .errors import DegeneratePoints, PreconditionError
 from .lattice import Cremona, DivisorClass, Perm, reduce_to_standard
 from .obstruction import (
     ObstructionVerdict,
     classify,
+    dim_of,
     gen_obstructed,
-    hilbert_dim,
-    kleppe_verdict,
+    kleppe_of,
+    verdict_of,
 )
 from .oracle import h0_interpolation
 from .verify import run_checks
@@ -173,41 +176,34 @@ def _cmd_normality(cls: DivisorClass) -> dict:
 
 
 def _cmd_classify(cls: DivisorClass) -> dict:
-    std = reduce_to_standard(cls).standard
-    v = classify(cls)
-    payload = {"class": str(cls), "standard": str(std)}
-    payload.update(_verdict_json(v))
+    facts = curve_facts(cls)
+    payload = {"class": str(cls), "standard": str(facts.standard)}
+    payload.update(_verdict_json(verdict_of(facts)))
     return payload
 
 
 def _cmd_hilbert_dim(cls: DivisorClass) -> dict:
-    from .curve import abnormality
-    from .cohomology import h0
-    from .lattice import K
-
-    std = reduce_to_standard(cls).standard
-    r = hilbert_dim(cls)
-    d, g = invariants(cls)
+    facts = curve_facts(cls)
+    r = dim_of(facts)
     return {
         "class": str(cls),
-        "standard": str(std),
-        "d": d,
-        "g": g,
-        "h1_ic3": abnormality(std, 3),
-        "h2": h0(std + 4 * K),
+        "standard": str(facts.standard),
+        "d": facts.d,
+        "g": facts.g,
+        "h1_ic3": facts.defects[2],
+        "h2": facts.h2,
         "dim": _dim_json(r),
     }
 
 
 def _cmd_kleppe(cls: DivisorClass) -> dict:
-    std = reduce_to_standard(cls).standard
-    d, g = invariants(cls)
+    facts = curve_facts(cls)
     return {
         "class": str(cls),
-        "standard": str(std),
-        "d": d,
-        "g": g,
-        "kleppe": _kleppe_json(kleppe_verdict(cls)),
+        "standard": str(facts.standard),
+        "d": facts.d,
+        "g": facts.g,
+        "kleppe": _kleppe_json(kleppe_of(facts)),
     }
 
 
@@ -227,8 +223,6 @@ CLASS_COMMANDS = {
 
 
 def _record_json(r) -> dict:
-    from .census import _kleppe_text
-
     return {
         "class": str(r.cls),
         "d": r.d,
@@ -263,11 +257,8 @@ def _flat(payload: dict, prefix: str = "") -> list[tuple[str, str]]:
 
 
 def _csv_rows(rows: list[list[str]]) -> str:
-    import csv as _csv
-    import io
-
     buf = io.StringIO()
-    w = _csv.writer(buf, lineterminator="\n")
+    w = csv.writer(buf, lineterminator="\n")
     for row in rows:
         w.writerow(row)
     return buf.getvalue()
@@ -378,10 +369,7 @@ def _dispatch(args) -> tuple[str, int]:
                 "records": [_record_json(r) for r in records],
             }
             return json.dumps(payload, indent=2) + "\n", 0
-        import csv as _csvmod
-        import io as _io
-
-        parsed = list(_csvmod.reader(_io.StringIO(census_csv(records))))
+        parsed = list(csv.reader(io.StringIO(census_csv(records))))
         table = _aligned_table(parsed[0], parsed[1:])
         tail = f"\ncells: {summary['cells']}  empty: {summary['empty_cells']}  records: {summary['records']}\n"
         return table + tail, 0

@@ -15,22 +15,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotEffective
-from .lattice import K, ZERO, DivisorClass, degree, lines27
+from .errors import InvariantViolation, NotEffective
+from .lattice import K, ZERO, DivisorClass, line_pairings, lines27
 
 _LINES = lines27()
+# each line as (a, its nonzero (i, bi)): a fixed-line pass touches only those
+_LINE_TERMS = tuple((line.a, tuple((i, x) for i, x in enumerate(line.b) if x)) for line in _LINES)
 
 
 def euler_char(d: DivisorClass) -> int:
     """Riemann-Roch: chi(D) = D.(D - K)/2 + 1 (always an integer)."""
-    t = d.dot(d - K)
-    assert t % 2 == 0
+    t = d.a * (d.a + 3) - sum([x * (x + 1) for x in d.b])  # D.D - K.D
+    if t % 2:
+        raise InvariantViolation(f"odd D.(D-K) = {t} for {d}")
     return t // 2 + 1
 
 
 def is_nef(d: DivisorClass) -> bool:
     """Nef on the cubic surface amounts to D.l >= 0 against all 27 lines."""
-    return all(d.dot(line) >= 0 for line in _LINES)
+    return min(line_pairings(d.a, d.b)) >= 0
 
 
 def _terminal_nef(d: DivisorClass) -> DivisorClass | None:
@@ -39,24 +42,25 @@ def _terminal_nef(d: DivisorClass) -> DivisorClass | None:
     Subtracts, per pass, every line l with D.l < 0 taken -D.l times.  Each
     atomic subtraction happens while the running class still pairs
     negatively with l, so h0 is preserved throughout, and -K.D drops by at
-    least 1 per pass, which bounds the loop.
+    least 1 per pass, which bounds the loop.  The passes run on plain
+    integers; only the terminal class is built as a DivisorClass.
     """
-    cur = d
+    a, b = d.a, d.b
     while True:
-        if cur == ZERO:
-            return cur
-        if degree(cur) <= 0:
+        if a == 0 and b == ZERO.b:
+            return ZERO
+        if 3 * a - sum(b) <= 0:
             return None
-        mu = [cur.dot(line) for line in _LINES]
-        if all(m >= 0 for m in mu):
-            return cur
-        a, b = cur.a, list(cur.b)
-        for m, line in zip(mu, _LINES):
+        mu = line_pairings(a, b)
+        if min(mu) >= 0:
+            return d if a == d.a and b == d.b else DivisorClass(a, b)
+        b = list(b)
+        for m, (la, terms) in zip(mu, _LINE_TERMS):
             if m < 0:
-                a += m * line.a
-                for i in range(6):
-                    b[i] += m * line.b[i]
-        cur = DivisorClass(a, tuple(b))
+                a += m * la
+                for i, x in terms:
+                    b[i] += m * x
+        b = tuple(b)
 
 
 def is_effective(d: DivisorClass) -> bool:
@@ -82,7 +86,8 @@ def cohomology(d: DivisorClass) -> CohomologyTriple:
     n2 = h0(K - d)
     chi = euler_char(d)
     n1 = n0 + n2 - chi
-    assert n1 >= 0, f"negative h1 for {d}"
+    if n1 < 0:
+        raise InvariantViolation(f"negative h1 for {d}")
     return CohomologyTriple(h0=n0, h1=n1, h2=n2, chi=chi)
 
 
@@ -103,14 +108,17 @@ def fixed_part(d: DivisorClass) -> ZariskiDecomposition:
     """
     if not is_effective(d):
         raise NotEffective(f"{d} is not an effective class")
-    fixed = tuple((line, -d.dot(line)) for line in _LINES if d.dot(line) < 0)
+    mu = line_pairings(d.a, d.b)
+    fixed = tuple((line, -m) for line, m in zip(_LINES, mu) if m < 0)
     nef_part = d
     for line, mult in fixed:
         nef_part = nef_part - mult * line
-    assert len(fixed) <= 6
-    assert all(l1.dot(l2) == 0 for i, (l1, _) in enumerate(fixed) for (l2, _) in fixed[i + 1:])
-    assert is_nef(nef_part)
-    assert all(nef_part.dot(line) == 0 for line, _ in fixed)
+    if len(fixed) > 6:
+        raise InvariantViolation(f"{len(fixed)} fixed lines for {d}")
+    if any(l1.dot(l2) != 0 for i, (l1, _) in enumerate(fixed) for (l2, _) in fixed[i + 1:]):
+        raise InvariantViolation(f"fixed lines of {d} are not pairwise disjoint")
+    if not is_nef(nef_part) or any(nef_part.dot(line) != 0 for line, _ in fixed):
+        raise InvariantViolation(f"nef part {nef_part} of {d} is not nef or meets a fixed line")
     return ZariskiDecomposition(nef_part=nef_part, fixed=fixed)
 
 

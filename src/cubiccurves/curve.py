@@ -5,6 +5,9 @@ g = 1 + (C.C + K.C)/2 in P^3.  The linear system |C| contains a smooth
 connected member exactly when the standard form has a > b1 and b6 >= 0.
 The n-normality defect of such a curve is h1 of the ideal sheaf twisted by
 n, which lives on the surface as h1(S, -(C + nK)).
+
+curve_facts computes, once per class, every number the obstruction,
+dimension and census code reads; those modules are readers of CurveFacts.
 """
 
 from __future__ import annotations
@@ -12,15 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cohomology import cohomology, h0
-from .errors import NonPositiveDegree, NotSmoothMember
-from .lattice import K, DivisorClass, reduce_to_standard
+from .errors import InvariantViolation, NonPositiveDegree, NotSmoothMember
+from .lattice import K, DivisorClass, line_pairings, reduce_to_standard
 
 
 def invariants(c: DivisorClass) -> tuple[int, int]:
     """(degree, genus) = (-K.C, 1 + (C.C + K.C)/2)."""
-    d = -K.dot(c)
-    t = c.square + K.dot(c)
-    assert t % 2 == 0
+    a, b = c.a, c.b
+    d = 3 * a - sum(b)
+    t = a * (a - 3) - sum([x * (x - 1) for x in b])  # C.C + K.C
+    if t % 2:
+        raise InvariantViolation(f"odd C.C + K.C = {t} for {c}")
     return d, 1 + t // 2
 
 
@@ -52,6 +57,39 @@ def abnormality(c: DivisorClass, n: int) -> int:
 
 
 @dataclass(frozen=True, slots=True)
+class CurveFacts:
+    """What the paper's criteria read off a smooth-member class C, with L = C + 3K.
+
+    defects[n-1] is the n-normality defect h1(S, -(C + nK)) for n = 1, 2, 3
+    (defects[2] = h1(S, -L)), h2 = h2(S, -L) = h0(S, C + 4K), and
+    pairings[i] = L.lines27()[i].
+    """
+
+    standard: DivisorClass
+    d: int
+    g: int
+    defects: tuple[int, int, int]
+    h2: int
+    pairings: tuple[int, ...]
+
+
+def curve_facts(c: DivisorClass) -> CurveFacts:
+    """The CurveFacts of c, computed in one pass on its standard form (or NotSmoothMember)."""
+    std = require_smooth_member(c)
+    d, g = invariants(std)
+    twists = [cohomology(-(std + n * K)) for n in (1, 2, 3)]
+    L = std + 3 * K
+    return CurveFacts(
+        standard=std,
+        d=d,
+        g=g,
+        defects=(twists[0].h1, twists[1].h1, twists[2].h1),
+        h2=twists[2].h2,
+        pairings=line_pairings(L.a, L.b),
+    )
+
+
+@dataclass(frozen=True, slots=True)
 class CurveReport:
     cls: DivisorClass
     degree: int
@@ -67,16 +105,17 @@ def normality_profile(c: DivisorClass) -> CurveReport:
     s_invariant is the least n with h0(twisted ideal sheaf) > 0; it is at
     most 3 because the cubic itself always contains the curve.
     """
-    std = require_smooth_member(c)
-    d, g = invariants(std)
-    assert 0 <= g <= hodge_genus_bound(d)
-    defects = {n: abnormality(std, n) for n in (1, 2, 3)}
+    facts = curve_facts(c)
+    std, d, g = facts.standard, facts.d, facts.g
+    if not 0 <= g <= hodge_genus_bound(d):
+        raise InvariantViolation(f"genus {g} outside [0, {hodge_genus_bound(d)}] for {std}")
+    defects = dict(zip((1, 2, 3), facts.defects))
     # Monotone once C+nK is effective with positive square: n-normal implies
     # m-normal for m < n.
     for n in (2, 3):
         ln = std + n * K
-        if defects[n] == 0 and ln.square > 0 and h0(ln) > 0:
-            assert all(defects[m] == 0 for m in range(1, n))
+        if defects[n] == 0 and ln.square > 0 and h0(ln) > 0 and any(defects[m] for m in range(1, n)):
+            raise InvariantViolation(f"{std} is {n}-normal but not m-normal for some m < {n}")
     s = 3
     for n in (1, 2):
         if h0(-(std + n * K)) > 0:

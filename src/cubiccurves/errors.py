@@ -2,7 +2,8 @@
 
 PreconditionError subclasses mark calls outside an operation's documented
 domain (the CLI maps them to exit code 2).  Anything else that escapes is an
-internal failure (exit code 3).
+internal failure (exit code 3); InvariantViolation is the explicit form of
+it, raised where a mathematical invariant of the engine fails.
 """
 
 
@@ -40,6 +41,15 @@ class GenusOutOfHodgeRange(PreconditionError):
 
 class DegreeTooSmall(PreconditionError):
     pass
+
+
+class InvariantViolation(AssertionError):
+    """A mathematical invariant of the engine failed.
+
+    Raised explicitly instead of by ``assert`` so that the check also runs
+    under ``python -O``; it subclasses AssertionError so callers that treat
+    assertion failures as internal errors (CLI exit code 3) still do.
+    """
 
 
 class DegeneratePoints(RuntimeError):

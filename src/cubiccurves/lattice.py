@@ -19,6 +19,7 @@ analogous order for conics.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,7 +35,7 @@ class DivisorClass:
         if len(self.b) != 6:
             raise ValueError("a divisor class needs exactly six b-coefficients")
         object.__setattr__(self, "a", int(self.a))
-        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
+        object.__setattr__(self, "b", tuple(map(int, self.b)))
 
     @classmethod
     def of(cls, a: int, *b: int) -> "DivisorClass":
@@ -48,16 +49,16 @@ class DivisorClass:
         return self.dot(self)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.a + other.a, tuple(x + y for x, y in zip(self.b, other.b)))
+        return DivisorClass(self.a + other.a, tuple(map(operator.add, self.b, other.b)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.a - other.a, tuple(x - y for x, y in zip(self.b, other.b)))
+        return DivisorClass(self.a - other.a, tuple(map(operator.sub, self.b, other.b)))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.a, tuple(-x for x in self.b))
+        return DivisorClass(-self.a, tuple([-x for x in self.b]))
 
     def __mul__(self, n: int) -> "DivisorClass":
-        return DivisorClass(self.a * n, tuple(x * n for x in self.b))
+        return DivisorClass(self.a * n, tuple([x * n for x in self.b]))
 
     __rmul__ = __mul__
 
@@ -104,6 +105,25 @@ def lines27() -> tuple[DivisorClass, ...]:
         b[i] = 0
         out.append(DivisorClass(2, tuple(b)))
     return tuple(out)
+
+
+def line_pairings(a: int, b: tuple[int, ...]) -> tuple[int, ...]:
+    """D.l for D = (a; b) and the 27 lines, in lines27() order.
+
+    Closed forms on plain integers: D.ei = bi, D.(l-ei-ej) = a-bi-bj and
+    D.(2l - sum_{k != i} ek) = 2a - sum(b) + bi.
+    """
+    b1, b2, b3, b4, b5, b6 = b
+    t = 2 * a - b1 - b2 - b3 - b4 - b5 - b6
+    return (
+        b1, b2, b3, b4, b5, b6,
+        a - b1 - b2, a - b1 - b3, a - b1 - b4, a - b1 - b5, a - b1 - b6,
+        a - b2 - b3, a - b2 - b4, a - b2 - b5, a - b2 - b6,
+        a - b3 - b4, a - b3 - b5, a - b3 - b6,
+        a - b4 - b5, a - b4 - b6,
+        a - b5 - b6,
+        t + b1, t + b2, t + b3, t + b4, t + b5, t + b6,
+    )
 
 
 @lru_cache(maxsize=1)

@@ -6,15 +6,19 @@ h0(S, C+4K) is the part of the normal-bundle H^1 coming from the surface.
 When both are nonzero, a line pairing negatively with L can certify that
 the Hilbert scheme is singular at [C]: multiplicity 1 always does, and
 multiplicity 2 or 3 does when an explicit restriction map is surjective.
+
+classify, hilbert_dim and kleppe_verdict each build the class's CurveFacts
+once and read it through verdict_of, dim_of and kleppe_of; the census calls
+those readers directly on one CurveFacts per record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import cohomology, h0, is_effective, is_nef
-from .curve import abnormality, invariants, require_smooth_member
-from .errors import DegreeTooSmall, DprimeNotNef, InvalidK, NotALine
+from .cohomology import h0
+from .curve import CurveFacts, abnormality, curve_facts, invariants, require_smooth_member
+from .errors import DegreeTooSmall, DprimeNotNef, InvalidK, InvariantViolation, NotALine
 from .lattice import K, DivisorClass, lines27
 
 
@@ -49,22 +53,29 @@ def classify(c: DivisorClass) -> ObstructionVerdict:
     an obstruction is reported as the witness, all of them are kept as
     diagnostics.  A line with m = -L.E in {2,3} certifies only when the
     restriction of Delta = L + K - 2mE to E is surjective; if no line
-    certifies, the verdict is Undetermined (never guessed).
+    certifies, the verdict is Undetermined (never guessed).  One pass:
+    the verdict is read off curve_facts(c).
     """
-    std = require_smooth_member(c)
-    L = std + 3 * K
-    triple = cohomology(-L)
-    vanishing = tuple(name for name, v in (("h1", triple.h1), ("h2", triple.h2)) if v == 0)
+    return verdict_of(curve_facts(c))
+
+
+def verdict_of(facts: CurveFacts) -> ObstructionVerdict:
+    """The classify verdict of the class behind facts."""
+    vanishing = tuple(name for name, v in (("h1", facts.defects[2]), ("h2", facts.h2)) if v == 0)
     if vanishing:
         return ObstructionVerdict(kind="Unobstructed", vanishing=vanishing)
-    # With h1 and h2 both nonzero, L+K is effective and L is not nef.
-    assert is_effective(L + K) and not is_nef(L)
+    # With h1 and h2 both nonzero, L+K is effective (h0(L+K) = h2 > 0) and
+    # L is not nef.
+    if min(facts.pairings) >= 0:
+        raise InvariantViolation(f"L = C+3K is nef while h1(-L) and h2(-L) are nonzero for {facts.standard}")
+    L = facts.standard + 3 * K
     witnesses: list[tuple[DivisorClass, int, str]] = []
-    for e in lines27():
-        m = -L.dot(e)
+    for e, pairing in zip(lines27(), facts.pairings):
+        m = -pairing
         if m <= 0:
             continue
-        assert m <= 3, f"fixed multiplicity {m} > 3 for smooth member {std}"
+        if m > 3:
+            raise InvariantViolation(f"fixed multiplicity {m} > 3 for smooth member {facts.standard}")
         if m == 1:
             witnesses.append((e, m, "m=1"))
         else:
@@ -115,12 +126,14 @@ class HilbertDimResult:
 
 
 def _exact(value: int, method: str, d: int) -> HilbertDimResult:
-    assert value >= 4 * d
+    if value < 4 * d:
+        raise InvariantViolation(f"{method} dimension {value} below 4d = {4 * d}")
     return HilbertDimResult(kind="exact", method=method, value=value)
 
 
 def _interval(lo: int, hi: int, method: str) -> HilbertDimResult:
-    assert lo <= hi
+    if lo > hi:
+        raise InvariantViolation(f"empty {method} interval [{lo}, {hi}]")
     return HilbertDimResult(kind="interval", method=method, lo=lo, hi=hi)
 
 
@@ -132,24 +145,33 @@ def hilbert_dim(c: DivisorClass) -> HilbertDimResult:
     linearly and quadratically normal has dimension d+g+18; an obstructed
     curve with h2 = 1 has dimension d+g+17+h1; otherwise only the interval
     [d+g+18+h1-h2, d+g+18+h1] survives, with the top end dropped by 1 when
-    the curve is known to be obstructed.
+    the curve is known to be obstructed.  One pass: the branches read
+    curve_facts(c), and the verdict is computed from it only when needed.
     """
-    std = require_smooth_member(c)
-    d, g = invariants(std)
+    return dim_of(curve_facts(c))
+
+
+def dim_of(facts: CurveFacts, verdict: ObstructionVerdict | None = None) -> HilbertDimResult:
+    """The hilbert_dim result of the class behind facts.
+
+    verdict, when given, is verdict_of(facts) already computed by the caller.
+    """
+    d, g = facts.d, facts.g
     if d <= 9:
         raise DegreeTooSmall(f"dimension rules require degree > 9, got d={d}")
-    h1l = abnormality(std, 3)
-    h2l = h0(std + 4 * K)
+    h1l, h2l = facts.defects[2], facts.h2
     if h1l == 0 or h2l == 0:
         return _exact(4 * d + h2l, "smooth-point", d)
     lo = d + g + 18 + h1l - h2l
     hi = d + g + 18 + h1l
-    verdict = classify(std)
+    if verdict is None:
+        verdict = verdict_of(facts)
     if verdict.kind == "Obstructed":
-        if g >= 3 * d - 18 and abnormality(std, 1) == 0 and abnormality(std, 2) == 0:
-            if h2l == 1:
-                # both exact rules fire; they must agree
-                assert d + g + 18 == d + g + 17 + h1l
+        if g >= 3 * d - 18 and facts.defects[0] == 0 and facts.defects[1] == 0:
+            if h2l == 1 and d + g + 18 != d + g + 17 + h1l:
+                raise InvariantViolation(
+                    f"theorem-1.1 ({d + g + 18}) and prop-4.5 ({d + g + 17 + h1l}) disagree for {facts.standard}"
+                )
             return _exact(d + g + 18, "theorem-1.1", d)
         if h2l == 1:
             return _exact(d + g + 17 + h1l, "prop-4.5", d)
@@ -171,19 +193,24 @@ def kleppe_verdict(c: DivisorClass) -> KleppeVerdict:
     Hypotheses checked in order: d > 9, g >= 3d-18, linear normality and a
     nonzero cubic-normality defect.  A quadratically normal class is settled
     (dimension d+g+18); otherwise the (d,g) region may fall in one of the
-    two previously known ranges, else the question is open here.
+    two previously known ranges, else the question is open here.  The
+    hypotheses are read off curve_facts(c).
     """
-    std = require_smooth_member(c)
-    d, g = invariants(std)
+    return kleppe_of(curve_facts(c))
+
+
+def kleppe_of(facts: CurveFacts) -> KleppeVerdict:
+    """The kleppe_verdict of the class behind facts."""
+    d, g = facts.d, facts.g
     if d <= 9:
         return KleppeVerdict(kind="NotApplicable", failed_hypothesis="d<=9")
     if g < 3 * d - 18:
         return KleppeVerdict(kind="NotApplicable", failed_hypothesis="g<3d-18")
-    if abnormality(std, 1) != 0:
+    if facts.defects[0] != 0:
         return KleppeVerdict(kind="NotApplicable", failed_hypothesis="not-linearly-normal")
-    if abnormality(std, 3) == 0:
+    if facts.defects[2] == 0:
         return KleppeVerdict(kind="NotApplicable", failed_hypothesis="h1_ic3=0")
-    if abnormality(std, 2) == 0:
+    if facts.defects[1] == 0:
         return KleppeVerdict(kind="ProvenTheorem1", dim=d + g + 18)
     if 14 <= d <= 17 and 8 * (g + 1) > d * d - 4:
         return KleppeVerdict(kind="KnownRange", range_tag="d14-17")

@@ -1,6 +1,7 @@
 """Family enumeration, census sweeps, CSV shape."""
 
 import csv
+import hashlib
 import io
 
 import pytest
@@ -11,6 +12,7 @@ from cubiccurves.census import (
     census_range,
     enumerate_families,
 )
+from cubiccurves.cli import run
 from cubiccurves.curve import hodge_genus_bound, invariants
 from cubiccurves.errors import DegreeTooSmall, GenusOutOfHodgeRange, NonPositiveDegree
 from cubiccurves.lattice import DivisorClass, is_standard
@@ -123,3 +125,20 @@ def test_csv_shape():
         ]
     ]
     assert text.endswith("\n") and "\r" not in text
+
+
+# sha256 of `census --d-min 10 --d-max 16 --g-min 0 --g-max 105` in each
+# format, taken before the census was rebuilt on one analysis pass per class
+CENSUS_D10_16_SHA256 = {
+    "csv": "86e7909dc112f352dd60f7df69ea2efb46009070127f5f0a8354048edc60f871",
+    "json": "7433715fab0236d343ca325410f4583971f68ad3249903a572063e482661952c",
+    "table": "3cea1534b5e34fd95e89bddb44aad6b6132eb050a1a8fbd6121c091d7a73c18b",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(CENSUS_D10_16_SHA256))
+def test_census_rendering_bytes_pinned(fmt, capsys):
+    argv = ["census", "--d-min", "10", "--d-max", "16", "--g-min", "0", "--g-max", str(hodge_genus_bound(16))]
+    assert run([*argv, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_D10_16_SHA256[fmt]
