@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .census import _kleppe_text, census_csv, census_range
 from .cohomology import cohomology
-from .curve import curve_facts, invariants, has_smooth_member, normality_profile
+from .curve import curve_facts, invariants, is_smooth_standard, normality_profile
 from .errors import DegeneratePoints, PreconditionError
 from .lattice import Cremona, DivisorClass, Perm, reduce_to_standard
 from .obstruction import (
@@ -153,7 +153,7 @@ def _cmd_invariants(cls: DivisorClass) -> dict:
         "standard": str(std),
         "d": d,
         "g": g,
-        "smooth_member": has_smooth_member(cls),
+        "smooth_member": is_smooth_standard(std),
     }
 
 

@@ -36,17 +36,20 @@ def hodge_genus_bound(d: int) -> int:
     return 1 + (d - 3) * d // 2
 
 
+def is_smooth_standard(s: DivisorClass) -> bool:
+    """For a class s in standard form: does |s| contain a smooth connected curve?"""
+    return s.a > s.b[0] and s.b[5] >= 0
+
+
 def has_smooth_member(c: DivisorClass) -> bool:
     """True when |C| contains a smooth connected curve (standard a > b1, b6 >= 0)."""
-    s = reduce_to_standard(c).standard
-    return s.a > s.b[0] and s.b[5] >= 0
+    return is_smooth_standard(reduce_to_standard(c).standard)
 
 
 def require_smooth_member(c: DivisorClass) -> DivisorClass:
     """Standard form of c, or NotSmoothMember."""
-    red = reduce_to_standard(c)
-    s = red.standard
-    if not (s.a > s.b[0] and s.b[5] >= 0):
+    s = reduce_to_standard(c).standard
+    if not is_smooth_standard(s):
         raise NotSmoothMember(f"{c} has no smooth connected member (standard form {s})")
     return s
 

@@ -43,6 +43,10 @@ class DegreeTooSmall(PreconditionError):
     pass
 
 
+class OracleTooLarge(PreconditionError):
+    """The interpolation oracle's input is past its size budget."""
+
+
 class InvariantViolation(AssertionError):
     """A mathematical invariant of the engine failed.
 

@@ -105,7 +105,9 @@ def h0_normal(c: DivisorClass) -> int:
     d, g = invariants(std)
     val = 4 * d + h1_normal(std)
     if d > 9:
-        assert val == d + g + 18 + abnormality(std, 3)
+        rr = d + g + 18 + abnormality(std, 3)
+        if val != rr:
+            raise InvariantViolation(f"h0(N) = {val} but d+g+18+h1(I_C(3)) = {rr} for {std}")
     return val
 
 
@@ -235,6 +237,9 @@ def gen_obstructed(k: int, dprime: tuple[int, int, int, int, int, int] = (0, 0, 
         raise DprimeNotNef(f"seed ({a};{','.join(map(str, b))}) fails b1>=...>=b5>=0, a>=b1+b2+b3")
     out = DivisorClass(14 - k + a, tuple(x + 4 for x in b) + (k,))
     e6 = lines27()[5]
-    assert out.dot(e6) == k
-    assert classify(out).kind == "Obstructed"
+    if out.dot(e6) != k:
+        raise InvariantViolation(f"{out} meets e6 in {out.dot(e6)}, not k = {k}")
+    kind = classify(out).kind
+    if kind != "Obstructed":
+        raise InvariantViolation(f"generated class {out} classifies as {kind}, not Obstructed")
     return out

@@ -5,17 +5,28 @@ point of multiplicity >= bi at each of six general points, so h0 is
 
     (a+1)(a+2)/2  -  rank(vanishing conditions)
 
-with one row per partial derivative of order < bi per point.  The rank is
-computed exactly (fraction-free elimination over the integers, no floating
-point); negative bi are first clamped to 0 (forced fixed exceptional
-components do not change h0) and a < 0 gives 0 outright.
+with one row per partial derivative of order < bi per point.  Negative bi
+are first clamped to 0 (forced fixed exceptional components do not change
+h0) and a < 0 gives 0 outright.  Classes that still have a > A_MAX after
+clamping are turned away (OracleTooLarge) instead of running for minutes.
+
+The rank is taken by Gaussian elimination over Z/P with the prime
+P = 2^61 - 1 (modular_rank; no floating point).  A minor that is nonzero
+mod P is nonzero over the integers, and ranks at special points can only
+drop, so
+
+    rank mod P  <=  rank over Q at the points  <=  generic rank,
+    h0 mod P    >=  h0 at the points           >=  generic h0.
+
+The oracle reruns with two further seeds and keeps the minimum section
+count.  An engine value that is too low is therefore always caught; one
+that is too high gets through only if, at each of the three seeds, the
+points are special or P divides the relevant minor.
 
 Points are drawn from a small integer grid, checked exactly for degeneracy
-(no three collinear, no conic through all six) and resampled on failure.
-Ranks at special points can only drop, dropping the section count's
-reliability upward, so the oracle reruns with two further seeds and keeps
-the minimum section count.  This module never feeds the cohomology engine;
-it exists to contradict it.
+(no three collinear; no conic through all six, by the exact fraction-free
+rank exact_rank) and resampled on failure.  This module never feeds the
+cohomology engine; it exists to contradict it.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import DegeneratePoints
+from .errors import DegeneratePoints, OracleTooLarge
 from .lattice import DivisorClass
 
 try:  # plain Python ints work too, gmpy2 just speeds the big minors up
@@ -35,6 +46,8 @@ except ImportError:  # pragma: no cover
     mpz = int
 
 COORD_MAX = 99  # grid height; well under the 10^4 cap, keeps minors small
+P = 2**61 - 1  # the Mersenne prime modular_rank eliminates over
+A_MAX = 30  # largest clamped a the oracle takes on; a call costs 24-38 s there on 2 vCPUs
 
 
 def exact_rank(rows) -> int:
@@ -58,6 +71,38 @@ def exact_rank(rows) -> int:
                 nxt.append(nr)
         rows = nxt
         prev = piv
+    return rank
+
+
+def modular_rank(rows) -> int:
+    """Rank over Z/P of an integer matrix, by shrinking-column elimination.
+
+    Pivots like exact_rank, on the first row with a nonzero leading entry.
+    Each row is reduced mod P once on entry and stored reversed, so that
+    dropping the leading column is a pop; the pivot row is scaled to lead
+    with -1, so clearing a row costs one multiply-add per entry.
+    """
+    rows = [r for r in ([x % P for x in reversed(row)] for row in rows) if any(r)]
+    rank = 0
+    while rows and rows[0]:
+        piv_idx = next((i for i, r in enumerate(rows) if r[-1]), None)
+        if piv_idx is None:
+            for r in rows:
+                r.pop()
+            continue
+        pivot_row = rows.pop(piv_idx)
+        scale = P - pow(pivot_row.pop(), -1, P)
+        pivot_row = [x * scale % P for x in pivot_row]
+        rank += 1
+        nxt = []
+        for r in rows:
+            f = r.pop()
+            if f:
+                r = [(x + f * y) % P for x, y in zip(r, pivot_row)]
+                if not any(r):
+                    continue
+            nxt.append(r)
+        rows = nxt
     return rank
 
 
@@ -119,14 +164,22 @@ def _h0_at(d: DivisorClass, seed: int) -> int:
     cfg = point_config(seed)
     mults = [max(x, 0) for x in d.b]
     n = (d.a + 1) * (d.a + 2) // 2
-    return n - exact_rank(_condition_rows(d.a, mults, cfg))
+    return n - modular_rank(_condition_rows(d.a, mults, cfg))
 
 
 def h0_interpolation(d: DivisorClass, seed: int = 0) -> int:
-    """h0 of the class by exact interpolation, minimized over three seeds."""
+    """h0 of the class by interpolation mod P, minimized over three seeds.
+
+    OracleTooLarge when the clamped class has a > A_MAX.
+    """
     if d.a < 0:
         return 0
     if all(x <= 0 for x in d.b):
         return (d.a + 1) * (d.a + 2) // 2
     clamped = DivisorClass(d.a, tuple(max(x, 0) for x in d.b))
+    if clamped.a > A_MAX:
+        raise OracleTooLarge(
+            f"class {clamped} (negative bi clamped to 0) is too large for the interpolation oracle: "
+            f"a = {clamped.a} > {A_MAX}"
+        )
     return min(_h0_at(clamped, s) for s in (seed, seed + 1, seed + 2))

@@ -147,3 +147,14 @@ def test_oracle_h0_subcommand(capsys):
     assert run(["oracle-h0", "3;1,1,1,1,1,1", "--format", "json", "--seed", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["h0"] == 4 and payload["seed"] == 2
+
+
+def test_oracle_h0_budget_exits_2(capsys):
+    # a = 31 is past the oracle's budget of a <= 30: turned away at once
+    assert run(["oracle-h0", "31;10,10,-1,0,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: class 31;10,10,0,0,0,0 (negative bi clamped to 0) is too large for the "
+        "interpolation oracle: a = 31 > 30\n"
+    )

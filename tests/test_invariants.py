@@ -37,6 +37,23 @@ CASES = {
         "importlib.import_module('cubiccurves.curve').line_pairings = lambda a, b: (-4,) * 27",
         ["classify", "12;4,4,4,4,2,2"],
     ),
+    # h1 of the normal bundle of (16, 29) read as 0 instead of 1 breaks
+    # Riemann-Roch h0(N) = d + g + 18 + h1(I_C(3)) inside verify-paper
+    "normal-bundle-riemann-roch": (
+        "importlib.import_module('cubiccurves.obstruction').h1_normal = lambda c: 0",
+        ["verify-paper"],
+    ),
+    # every line read as -K, which the generated class meets in d, not k
+    "generator-meets-e6-in-k": (
+        "ob = importlib.import_module('cubiccurves.obstruction'); ob.lines27 = lambda: (-ob.K,) * 27",
+        ["gen-obstructed", "--k", "0"],
+    ),
+    # the generated class must classify as Obstructed
+    "generator-obstructed": (
+        "ob = importlib.import_module('cubiccurves.obstruction');"
+        " ob.classify = lambda c: ob.ObstructionVerdict(kind='Unobstructed')",
+        ["gen-obstructed", "--k", "1"],
+    ),
 }
 
 
