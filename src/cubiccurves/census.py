@@ -170,29 +170,32 @@ def _kleppe_text(k: KleppeVerdict) -> str:
     return k.kind
 
 
+def census_rows(records):
+    """The cells of each record, one row (a list) per record in CSV_COLUMNS order."""
+    for r in records:
+        lo = r.dim.value if r.dim.kind == "exact" else r.dim.lo
+        hi = r.dim.value if r.dim.kind == "exact" else r.dim.hi
+        yield [
+            r.d,
+            r.g,
+            r.cls.a,
+            *r.cls.b,
+            r.h1_ic3,
+            r.h2,
+            r.normality,
+            r.verdict.kind,
+            r.verdict.rule or "",
+            r.dim.kind,
+            lo,
+            hi,
+            _kleppe_text(r.kleppe),
+        ]
+
+
 def census_csv(records) -> str:
     """The fixed-column CSV payload for a sequence of census records."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS.split(","))
-    for r in records:
-        lo = r.dim.value if r.dim.kind == "exact" else r.dim.lo
-        hi = r.dim.value if r.dim.kind == "exact" else r.dim.hi
-        writer.writerow(
-            [
-                r.d,
-                r.g,
-                r.cls.a,
-                *r.cls.b,
-                r.h1_ic3,
-                r.h2,
-                r.normality,
-                r.verdict.kind,
-                r.verdict.rule or "",
-                r.dim.kind,
-                lo,
-                hi,
-                _kleppe_text(r.kleppe),
-            ]
-        )
+    writer.writerows(census_rows(records))
     return buf.getvalue()

@@ -16,7 +16,7 @@ import re
 import sys
 from pathlib import Path
 
-from .census import _kleppe_text, census_csv, census_range
+from .census import CSV_COLUMNS, _kleppe_text, census_csv, census_range, census_rows
 from .cohomology import cohomology
 from .curve import curve_facts, invariants, is_smooth_standard, normality_profile
 from .errors import DegeneratePoints, PreconditionError
@@ -301,7 +301,8 @@ def _render_payloads(payloads: list[dict], fmt: str, batch: bool) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def _aligned_table(header: list[str], rows: list[list[str]]) -> str:
+def _aligned_table(header: list[str], rows) -> str:
+    rows = [[str(cell) for cell in row] for row in rows]
     widths = [len(h) for h in header]
     for row in rows:
         for i, cell in enumerate(row):
@@ -369,8 +370,7 @@ def _dispatch(args) -> tuple[str, int]:
                 "records": [_record_json(r) for r in records],
             }
             return json.dumps(payload, indent=2) + "\n", 0
-        parsed = list(csv.reader(io.StringIO(census_csv(records))))
-        table = _aligned_table(parsed[0], parsed[1:])
+        table = _aligned_table(CSV_COLUMNS.split(","), census_rows(records))
         tail = f"\ncells: {summary['cells']}  empty: {summary['empty_cells']}  records: {summary['records']}\n"
         return table + tail, 0
 

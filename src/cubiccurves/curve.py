@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import cohomology, h0
+from .cohomology import CohomologyTriple, cohomology, h0_ab, triple
 from .errors import InvariantViolation, NonPositiveDegree, NotSmoothMember
 from .lattice import K, DivisorClass, line_pairings, reduce_to_standard
 
@@ -63,32 +63,44 @@ def abnormality(c: DivisorClass, n: int) -> int:
 class CurveFacts:
     """What the paper's criteria read off a smooth-member class C, with L = C + 3K.
 
-    defects[n-1] is the n-normality defect h1(S, -(C + nK)) for n = 1, 2, 3
-    (defects[2] = h1(S, -L)), h2 = h2(S, -L) = h0(S, C + 4K), and
-    pairings[i] = L.lines27()[i].
+    twists[n-1] is the cohomology triple of -(C + nK) for n = 1, 2, 3, so its
+    h2 is h0(C + (n+1)K); defects[n-1] = twists[n-1].h1 is the n-normality
+    defect (defects[2] = h1(S, -L)), h2 = twists[2].h2 = h2(S, -L) =
+    h0(S, C + 4K), and pairings[i] = L.lines27()[i].
     """
 
     standard: DivisorClass
     d: int
     g: int
+    twists: tuple[CohomologyTriple, CohomologyTriple, CohomologyTriple]
     defects: tuple[int, int, int]
     h2: int
     pairings: tuple[int, ...]
 
 
 def curve_facts(c: DivisorClass) -> CurveFacts:
-    """The CurveFacts of c, computed in one pass on its standard form (or NotSmoothMember)."""
+    """The CurveFacts of c, computed in one pass on its standard form (or NotSmoothMember).
+
+    The twists run on the coefficients: -(C + nK) = (3n - a; n - b1, ..., n - b6)
+    and C + (n+1)K = (a - 3n - 3; b1 - n - 1, ..., b6 - n - 1).
+    """
     std = require_smooth_member(c)
     d, g = invariants(std)
-    twists = [cohomology(-(std + n * K)) for n in (1, 2, 3)]
-    L = std + 3 * K
+    a, b = std.a, std.b
+    twists = []
+    for n in (1, 2, 3):
+        ta, tb = 3 * n - a, tuple([n - x for x in b])
+        h2 = h0_ab(a - 3 * n - 3, tuple([x - n - 1 for x in b]))
+        twists.append(triple(ta, tb, h0_ab(ta, tb), h2))
+    t1, t2, t3 = twists
     return CurveFacts(
         standard=std,
         d=d,
         g=g,
-        defects=(twists[0].h1, twists[1].h1, twists[2].h1),
-        h2=twists[2].h2,
-        pairings=line_pairings(L.a, L.b),
+        twists=(t1, t2, t3),
+        defects=(t1.h1, t2.h1, t3.h1),
+        h2=t3.h2,
+        pairings=line_pairings(a - 9, tuple([x - 3 for x in b])),
     )
 
 
@@ -113,15 +125,16 @@ def normality_profile(c: DivisorClass) -> CurveReport:
     if not 0 <= g <= hodge_genus_bound(d):
         raise InvariantViolation(f"genus {g} outside [0, {hodge_genus_bound(d)}] for {std}")
     defects = dict(zip((1, 2, 3), facts.defects))
+    a, b = std.a, std.b
     # Monotone once C+nK is effective with positive square: n-normal implies
-    # m-normal for m < n.
+    # m-normal for m < n.  h0(C + nK) is the h2 of the (n-1)-th twist.
     for n in (2, 3):
-        ln = std + n * K
-        if defects[n] == 0 and ln.square > 0 and h0(ln) > 0 and any(defects[m] for m in range(1, n)):
+        square = (a - 3 * n) ** 2 - sum([(x - n) ** 2 for x in b])
+        if defects[n] == 0 and square > 0 and facts.twists[n - 2].h2 > 0 and any(defects[m] for m in range(1, n)):
             raise InvariantViolation(f"{std} is {n}-normal but not m-normal for some m < {n}")
     s = 3
     for n in (1, 2):
-        if h0(-(std + n * K)) > 0:
+        if facts.twists[n - 1].h0 > 0:
             s = n
             break
     return CurveReport(

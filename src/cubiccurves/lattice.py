@@ -200,12 +200,13 @@ def is_standard(d: DivisorClass) -> bool:
 
 
 def _sort_perm(b: tuple[int, ...]) -> tuple[int, ...]:
-    # Stable descending order; ties keep their original relative order.
-    order = sorted(range(6), key=lambda i: (-b[i], i))
-    return tuple(i + 1 for i in order)
+    # Stable descending order; ties keep their original relative order
+    # (sorted stays stable under reverse=True).
+    return tuple([i + 1 for i in sorted(range(6), key=b.__getitem__, reverse=True)])
 
 
 _IDENTITY = (1, 2, 3, 4, 5, 6)
+_CREMONA_123 = Cremona(1, 2, 3)
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,20 +221,22 @@ def reduce_to_standard(d: DivisorClass) -> StandardReduction:
 
     Alternates a stable descending sort of the bi with the Cremona move at
     (1,2,3).  Each Cremona strictly decreases a (it only fires when
-    a < b1+b2+b3), and a is bounded below on the orbit by Cauchy-Schwarz,
-    so the loop halts.  The returned word replays input -> standard.
+    a < b1+b2+b3), and W(E6) is finite, so the loop halts.  The moves run
+    on the plain coefficients (what apply_generator does, without building a
+    class per step).  The returned word replays input -> standard.
     """
     word: list[WeylGenerator] = []
-    cur = d
+    a, b = d.a, d.b
     while True:
-        sigma = _sort_perm(cur.b)
+        sigma = _sort_perm(b)
         if sigma != _IDENTITY:
-            gen = Perm(sigma)
-            word.append(gen)
-            cur = apply_generator(gen, cur)
-        if cur.a >= cur.b[0] + cur.b[1] + cur.b[2]:
+            word.append(Perm(sigma))
+            b = tuple([b[s - 1] for s in sigma])
+        t = a - b[0] - b[1] - b[2]
+        if t >= 0:
             break
-        gen = Cremona(1, 2, 3)
-        word.append(gen)
-        cur = apply_generator(gen, cur)
-    return StandardReduction(input=d, standard=cur, word=tuple(word))
+        word.append(_CREMONA_123)
+        a += t
+        b = (b[0] + t, b[1] + t, b[2] + t, b[3], b[4], b[5])
+    standard = DivisorClass(a, b) if word else d
+    return StandardReduction(input=d, standard=standard, word=tuple(word))

@@ -47,7 +47,10 @@ except ImportError:  # pragma: no cover
 
 COORD_MAX = 99  # grid height; well under the 10^4 cap, keeps minors small
 P = 2**61 - 1  # the Mersenne prime modular_rank eliminates over
-A_MAX = 30  # largest clamped a the oracle takes on; a call costs 24-38 s there on 2 vCPUs
+A_MAX = 30  # largest clamped a the oracle takes on
+# largest condition matrix (rows x columns): the square one at a = A_MAX;
+# the elimination's cost follows the matrix, not a alone
+CELLS_MAX = ((A_MAX + 1) * (A_MAX + 2) // 2) ** 2
 
 
 def exact_rank(rows) -> int:
@@ -170,7 +173,8 @@ def _h0_at(d: DivisorClass, seed: int) -> int:
 def h0_interpolation(d: DivisorClass, seed: int = 0) -> int:
     """h0 of the class by interpolation mod P, minimized over three seeds.
 
-    OracleTooLarge when the clamped class has a > A_MAX.
+    OracleTooLarge when the clamped class has a > A_MAX or its condition
+    matrix has more than CELLS_MAX entries.
     """
     if d.a < 0:
         return 0
@@ -181,5 +185,12 @@ def h0_interpolation(d: DivisorClass, seed: int = 0) -> int:
         raise OracleTooLarge(
             f"class {clamped} (negative bi clamped to 0) is too large for the interpolation oracle: "
             f"a = {clamped.a} > {A_MAX}"
+        )
+    rows = sum([m * (m + 1) // 2 for m in clamped.b])
+    cols = (clamped.a + 1) * (clamped.a + 2) // 2
+    if rows * cols > CELLS_MAX:
+        raise OracleTooLarge(
+            f"class {clamped} (negative bi clamped to 0) is too large for the interpolation oracle: "
+            f"its {rows} x {cols} condition matrix has {rows * cols} > {CELLS_MAX} entries"
         )
     return min(_h0_at(clamped, s) for s in (seed, seed + 1, seed + 2))

@@ -1,7 +1,9 @@
 """Acceptance gate: ten criteria, one printed PASS/FAIL line each.
 
 Beside criterion 07 (oracle == engine on small classes) one unprinted test
-runs the oracle on the largest classes the d 10..20 census visits.
+runs the oracle on the largest classes the d 10..20 census visits, and one
+more, marked slow (run it with ``pytest -m slow``), on all its classes with
+a >= 13.
 
 All comparisons are exact integer equality; there are no tolerances to
 tune.  Verdict lines are written with capture disabled so they reach
@@ -225,19 +227,33 @@ def test_criterion_07_oracle_equivalence(capfd):
     _verdict(capfd, 7, f"oracle == engine on {len(grid)} grid + {len(pinned)} named classes, 3 seeds", bad)
 
 
-def test_oracle_equivalence_on_census_classes(census):
-    # h0(C+nK), n = 0..4, for every census d 10..20 class with a >= 17
-    # (a = 17..19, the top of the census's range of a)
-    records, _ = census
-    big = [r.cls for r in records if r.cls.a >= 17]
-    assert len(big) >= 10
+def _oracle_mismatches(classes) -> list[str]:
+    """h0(C+nK), n = 0..4, by the oracle against the engine."""
     bad = []
-    for c in big:
+    for c in classes:
         for n in range(5):
             got, want = h0_interpolation(c + n * K), h0(c + n * K)
             if got != want:
                 bad.append(f"{c + n * K}: oracle {got} engine {want}")
-    assert not bad, bad
+    return bad
+
+
+def test_oracle_equivalence_on_census_classes(census):
+    # every census d 10..20 class with a >= 17 (a = 17..19, the top of the
+    # census's range of a)
+    records, _ = census
+    big = [r.cls for r in records if r.cls.a >= 17]
+    assert len(big) >= 10
+    assert not (bad := _oracle_mismatches(big)), bad
+
+
+@pytest.mark.slow
+def test_oracle_equivalence_on_census_classes_full(census):
+    # every census d 10..20 class with a >= 13: 168 classes, 840 checks
+    records, _ = census
+    big = [r.cls for r in records if r.cls.a >= 13]
+    assert len(big) == 168
+    assert not (bad := _oracle_mismatches(big)), bad
 
 
 def _rand_class(rng, a_lo=-6, a_hi=12, b_lo=-6, b_hi=9):

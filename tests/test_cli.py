@@ -158,3 +158,15 @@ def test_oracle_h0_budget_exits_2(capsys):
         "error: class 31;10,10,0,0,0,0 (negative bi clamped to 0) is too large for the "
         "interpolation oracle: a = 31 > 30\n"
     )
+
+
+def test_oracle_h0_matrix_budget_exits_2(capsys):
+    # a = 30 is within the budget on a, but 816 conditions on 496 monomials
+    # are past the budget on the condition matrix
+    assert run(["oracle-h0", "30;16,16,16,16,16,16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: class 30;16,16,16,16,16,16 (negative bi clamped to 0) is too large for the "
+        "interpolation oracle: its 816 x 496 condition matrix has 404736 > 246016 entries\n"
+    )

@@ -32,6 +32,12 @@ CASES = {
         "importlib.import_module('cubiccurves.cohomology').h0 = lambda d: 0",
         ["cohomology", "12;4,4,4,4,2,2"],
     ),
+    # the same check on curve_facts' integer path: every twist's h0 and h2
+    # read as 0 makes h1 = -chi < 0 for -(C + K)
+    "int-path-negative-h1": (
+        "importlib.import_module('cubiccurves.curve').h0_ab = lambda a, b: 0",
+        ["hilbert-dim", "12;4,4,4,4,2,2"],
+    ),
     # every line meeting L = C + 3K at -4 breaks m <= 3 for a smooth member
     "multiplicity-above-3": (
         "importlib.import_module('cubiccurves.curve').line_pairings = lambda a, b: (-4,) * 27",

@@ -5,11 +5,13 @@ import random
 import pytest
 import sympy
 
+from cubiccurves import oracle
 from cubiccurves.cohomology import h0
 from cubiccurves.errors import OracleTooLarge, PreconditionError
 from cubiccurves.lattice import DivisorClass, K
 from cubiccurves.oracle import (
     A_MAX,
+    CELLS_MAX,
     COORD_MAX,
     P,
     PointConfig,
@@ -121,6 +123,19 @@ def test_h0_budget():
     with pytest.raises(OracleTooLarge):
         h0_interpolation(D(A_MAX + 1, 1, 0, -2, 0, 0, 0))
     assert issubclass(OracleTooLarge, PreconditionError)
+
+
+def test_h0_budget_on_matrix_size(monkeypatch):
+    # the condition matrix of (30; 17,17,17,8,1,b6) has 496 + b6 rows and 496
+    # columns: at the bound for b6 = 0, one row past it for b6 = 1
+    assert CELLS_MAX == 496 * 496
+    assert len(_condition_rows(30, (17, 17, 17, 8, 1, 1), point_config(0))) == 497
+    monkeypatch.setattr(oracle, "_h0_at", lambda d, seed: 0)  # no elimination
+    assert h0_interpolation(D(30, 17, 17, 17, 8, 1, 0)) == 0
+    with pytest.raises(OracleTooLarge):
+        h0_interpolation(D(30, 17, 17, 17, 8, 1, 1))
+    with pytest.raises(OracleTooLarge):
+        h0_interpolation(D(30, 16, 16, 16, 16, 16, 16))  # 816 x 496, 38 s a call
 
 
 def test_oracle_engine_agreement_small():

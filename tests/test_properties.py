@@ -1,6 +1,6 @@
 """Structural properties under randomized inputs (hypothesis)."""
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from cubiccurves.cli import parse_class
 from cubiccurves.cohomology import cohomology, fixed_part, h0, is_effective, is_nef
@@ -26,10 +26,17 @@ perms = st.permutations(list(range(1, 7))).map(lambda p: Perm(tuple(p)))
 cremonas = st.permutations(list(range(1, 7))).map(lambda p: Cremona(*sorted(p[:3])))
 words = st.lists(st.one_of(perms, cremonas), max_size=5).map(tuple)
 
+# W(E6)-moved classes with |coefficients| up to 10^6: a base class up to
+# 10^5 sent through a word of up to eight generators
+BIG = 10**6
+big_classes = st.builds(
+    lambda c, w: apply_word(w, c),
+    st.builds(DivisorClass.of, *(st.integers(-BIG // 10, BIG // 10) for _ in range(7))),
+    st.lists(st.one_of(perms, cremonas), min_size=1, max_size=8).map(tuple),
+).filter(lambda c: max(abs(c.a), *map(abs, c.b)) <= BIG)
 
-@settings(max_examples=250, deadline=None)
-@given(classes, words)
-def test_weyl_word_invariance(c, w):
+
+def _check_weyl_word_invariance(c, w):
     moved = apply_word(w, c)
     assert moved.square == c.square
     assert K.dot(moved) == K.dot(c)
@@ -37,6 +44,19 @@ def test_weyl_word_invariance(c, w):
     assert h0(moved) == h0(c)
     assert is_nef(moved) == is_nef(c)
     assert is_effective(moved) == is_effective(c)
+
+
+@settings(max_examples=250, deadline=None)
+@given(classes, words)
+def test_weyl_word_invariance(c, w):
+    _check_weyl_word_invariance(c, w)
+
+
+@seed(106)
+@settings(max_examples=150, deadline=None)
+@given(big_classes, words)
+def test_weyl_word_invariance_large(c, w):
+    _check_weyl_word_invariance(c, w)
 
 
 @settings(max_examples=250, deadline=None)
@@ -48,14 +68,25 @@ def test_serre_and_chi(c):
     assert t.h1 >= 0
 
 
-@settings(max_examples=250, deadline=None)
-@given(classes)
-def test_reduction_canonical(c):
+def _check_reduction_canonical(c):
     red = reduce_to_standard(c)
     assert is_standard(red.standard)
     assert apply_word(red.word, c) == red.standard
     again = reduce_to_standard(red.standard)
     assert again.standard == red.standard and again.word == ()
+
+
+@settings(max_examples=250, deadline=None)
+@given(classes)
+def test_reduction_canonical(c):
+    _check_reduction_canonical(c)
+
+
+@seed(106)
+@settings(max_examples=250, deadline=None)
+@given(big_classes)
+def test_reduction_canonical_large(c):
+    _check_reduction_canonical(c)
 
 
 @settings(max_examples=250, deadline=None)
