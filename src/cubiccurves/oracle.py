@@ -11,9 +11,13 @@ h0) and a < 0 gives 0 outright.  Classes that still have a > A_MAX after
 clamping are turned away (OracleTooLarge) instead of running for minutes.
 
 The rank is taken by Gaussian elimination over Z/P with the prime
-P = 2^61 - 1 (modular_rank; no floating point).  A minor that is nonzero
-mod P is nonzero over the integers, and ranks at special points can only
-drop, so
+P = 2^61 - 1 (modular_rank; no floating point).  Each row is packed into
+one Python int, one fixed-width slot per column, so clearing a column of a
+row is one big-int multiply-add rather than one interpreted step per entry.
+The slots are wide enough (2^W > P + cols * (P-1)^2) that a row is reduced
+mod P only once, on entry, and no slot ever carries into the next.  A minor
+that is nonzero mod P is nonzero over the integers, and ranks at special
+points can only drop, so
 
     rank mod P  <=  rank over Q at the points  <=  generic rank,
     h0 mod P    >=  h0 at the points           >=  generic h0.
@@ -40,7 +44,7 @@ from itertools import combinations
 from .errors import DegeneratePoints, OracleTooLarge
 from .lattice import DivisorClass
 
-try:  # plain Python ints work too, gmpy2 just speeds the big minors up
+try:  # optional: exact_rank (Bareiss) only sees the 6x6 conic test's matrices
     from gmpy2 import mpz
 except ImportError:  # pragma: no cover
     mpz = int
@@ -77,35 +81,49 @@ def exact_rank(rows) -> int:
     return rank
 
 
-def modular_rank(rows) -> int:
-    """Rank over Z/P of an integer matrix, by shrinking-column elimination.
+def _pack(entries, nbytes: int) -> int:
+    return int.from_bytes(b"".join(x.to_bytes(nbytes, "little") for x in entries), "little")
 
-    Pivots like exact_rank, on the first row with a nonzero leading entry.
-    Each row is reduced mod P once on entry and stored reversed, so that
-    dropping the leading column is a pop; the pivot row is scaled to lead
-    with -1, so clearing a row costs one multiply-add per entry.
+
+def modular_rank(rows) -> int:
+    """Rank over Z/P of an integer matrix, by packed-row elimination.
+
+    Each row is reduced mod P once and packed into one int, one byte-aligned
+    slot of W bits per column with the leading column in the lowest slot.
+    Pivots like exact_rank, on the first row whose leading slot is nonzero
+    mod P; the pivot row is unpacked, reduced, scaled to lead with -1 and
+    repacked, so clearing the leading column of any other row r is one
+    big-int multiply-add (r >> W) + ((r & mask) % P) * pivot, which also
+    drops that column.  Rows that are zero mod P ride along with factor 0.
+
+    Other rows are never reduced again.  A row takes at most one update per
+    column, each adding at most (P-1)^2 to a slot that started below P, so
+    W is chosen with 2^W > P + cols * (P-1)^2: slots stay non-negative and
+    never carry into their neighbours.
     """
-    rows = [r for r in ([x % P for x in reversed(row)] for row in rows) if any(r)]
+    rows = [[x % P for x in row] for row in rows]
+    cols = len(rows[0]) if rows else 0
+    nbytes = ((P + cols * (P - 1) ** 2).bit_length() + 7) // 8
+    width = 8 * nbytes
+    mask = (1 << width) - 1
+    packed = [_pack(row, nbytes) for row in rows]
     rank = 0
-    while rows and rows[0]:
-        piv_idx = next((i for i, r in enumerate(rows) if r[-1]), None)
+    for col in range(cols):
+        if not packed:
+            break
+        leads = [(r & mask) % P for r in packed]
+        piv_idx = next((i for i, f in enumerate(leads) if f), None)
         if piv_idx is None:
-            for r in rows:
-                r.pop()
+            packed = [r >> width for r in packed]
             continue
-        pivot_row = rows.pop(piv_idx)
-        scale = P - pow(pivot_row.pop(), -1, P)
-        pivot_row = [x * scale % P for x in pivot_row]
+        raw = packed.pop(piv_idx).to_bytes((cols - col) * nbytes, "little")
+        scale = P - pow(leads.pop(piv_idx), -1, P)
+        pivot = _pack(
+            (int.from_bytes(raw[i : i + nbytes], "little") * scale % P for i in range(nbytes, len(raw), nbytes)),
+            nbytes,
+        )
         rank += 1
-        nxt = []
-        for r in rows:
-            f = r.pop()
-            if f:
-                r = [(x + f * y) % P for x, y in zip(r, pivot_row)]
-                if not any(r):
-                    continue
-            nxt.append(r)
-        rows = nxt
+        packed = [(r >> width) + f * pivot for r, f in zip(packed, leads)]
     return rank
 
 

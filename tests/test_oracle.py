@@ -26,6 +26,37 @@ from cubiccurves.oracle import (
 D = DivisorClass.of
 
 
+def ref_modular_rank(rows) -> int:
+    """The list-based elimination modular_rank replaced: the reference.
+
+    Each row is reduced mod P once on entry and stored reversed, so that
+    dropping the leading column is a pop; the pivot row is scaled to lead
+    with -1, and every entry of every other row is reduced after each update.
+    """
+    rows = [r for r in ([x % P for x in reversed(row)] for row in rows) if any(r)]
+    rank = 0
+    while rows and rows[0]:
+        piv_idx = next((i for i, r in enumerate(rows) if r[-1]), None)
+        if piv_idx is None:
+            for r in rows:
+                r.pop()
+            continue
+        pivot_row = rows.pop(piv_idx)
+        scale = P - pow(pivot_row.pop(), -1, P)
+        pivot_row = [x * scale % P for x in pivot_row]
+        rank += 1
+        nxt = []
+        for r in rows:
+            f = r.pop()
+            if f:
+                r = [(x + f * y) % P for x, y in zip(r, pivot_row)]
+                if not any(r):
+                    continue
+            nxt.append(r)
+        rows = nxt
+    return rank
+
+
 def test_exact_rank_against_sympy():
     # modular_rank too: these small matrices have no minor divisible by P
     rng = random.Random(42)
@@ -54,7 +85,7 @@ def test_modular_rank_on_condition_matrices():
                     break
             rows = _condition_rows(a, [max(m, 0) for m in b], point_config(rng.randrange(1 << 20)))
             rank = exact_rank(rows)
-            assert modular_rank(rows) == rank, (a, b)
+            assert modular_rank(rows) == ref_modular_rank(rows) == rank, (a, b)
             deficient += rank < min(len(rows), cols)
     assert deficient  # the rank-deficient path is exercised
 
@@ -65,6 +96,51 @@ def test_exact_rank_edge_cases():
         assert rank([[0, 0], [0, 0]]) == 0
         assert rank([[0, 0, 3]]) == 1
         assert rank([[1, 2], [2, 4], [3, 6]]) == 1
+
+
+def test_modular_rank_matches_reference_on_random_matrices():
+    # entries that are 0, +-1 or +-10^30 mod P in several disguises, so that
+    # ranks fall short often; every other matrix also gets dependent rows
+    entries = (0, 1, -1, P - 1, P, P + 1, 2 * P, 10**30, -(10**30))
+    rng = random.Random(61)
+    deficient = 0
+    for trial in range(300):
+        n, m = rng.randint(1, 40), rng.randint(1, 40)
+        rows = [[rng.choice(entries) for _ in range(m)] for _ in range(n)]
+        if trial % 2 and n >= 3:
+            for _ in range(rng.randint(1, n // 3)):
+                i, j, k = rng.sample(range(n), 3)
+                rows[i] = [2 * x - 3 * y for x, y in zip(rows[j], rows[k])]
+        rank = ref_modular_rank(rows)
+        assert modular_rank(rows) == rank, rows
+        deficient += rank < min(n, m)
+    assert deficient > 50
+
+
+def test_modular_rank_edge_cases_against_reference():
+    cases = {
+        "no rows": ([], 0),
+        "no columns": ([[]], 0),
+        "one entry, zero mod P": ([[P]], 0),
+        "one column": ([[3], [0], [P], [-2]], 1),
+        "one column, zero mod P": ([[0], [-P], [2 * P]], 0),
+    }
+    for name, (rows, rank) in cases.items():
+        assert modular_rank(rows) == ref_modular_rank(rows) == rank, name
+
+
+def test_modular_rank_slots_never_carry():
+    # 300 rows independent mod P and 10 that are sums of two of them, all
+    # entries in [P - 2^20, P).  The sums fall to zero mod P only at the last
+    # pivot, after 300 updates of up to (P-1)^2 per slot with no reduction in
+    # between, so slots sized from P alone, or from P^2 without the column
+    # count, carry into their neighbours.  (The list-based reference also
+    # reads 300 here, in about 4 s.)
+    rng = random.Random(20)
+    cols = 320
+    deltas = [[rng.randint(1, 2**19) for _ in range(cols)] for _ in range(300)]
+    deltas += [[x + y for x, y in zip(deltas[-1], deltas[rng.randrange(300)])] for _ in range(10)]
+    assert modular_rank([[P - x for x in row] for row in deltas]) == 300
 
 
 def test_modular_rank_reads_entries_mod_p():
@@ -123,6 +199,13 @@ def test_h0_budget():
     with pytest.raises(OracleTooLarge):
         h0_interpolation(D(A_MAX + 1, 1, 0, -2, 0, 0, 0))
     assert issubclass(OracleTooLarge, PreconditionError)
+
+
+def test_h0_at_the_matrix_bound():
+    # no stub: three 496 x 496 eliminations, a few seconds
+    c = D(30, 17, 17, 17, 8, 1, 0)
+    assert len(_condition_rows(30, c.b, point_config(0))) == 496
+    assert h0_interpolation(c) == h0(c) == 18
 
 
 def test_h0_budget_on_matrix_size(monkeypatch):
