@@ -4,16 +4,15 @@ A family is a standard-form class (b1 >= ... >= b6 >= 0, a >= b1+b2+b3)
 with a smooth member (a > b1).  For fixed degree d the coefficient sum is
 pinned to 3a - d and a is confined to [ceil(d/3), d], so enumeration is a
 bounded partition walk.  Census records are pure functions of the class,
-each built from one CurveFacts pass, and are merged in a fixed (d, g, class)
-order, so the CSV output is byte-identical no matter how many worker threads
-run.
+each built from one CurveFacts pass, and come out in a fixed (d, g, class)
+order.  The census runs in one thread; a thread count is accepted and
+ignored, because a thread pool made the census no faster.
 """
 
 from __future__ import annotations
 
 import io
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -121,8 +120,8 @@ def census_range(
 
     g cells beyond the Hodge bound of their degree are skipped entirely;
     the summary counts only cells within the bound.  Each record comes from
-    a single curve_facts pass over its class (see _record).  threads is a
-    speed hint, the merge order is fixed, so output is deterministic.
+    a single curve_facts pass over its class (see _record).  The census
+    runs in the calling thread; threads is accepted and ignored.
     """
     if d_min <= 9:
         raise DegreeTooSmall(f"census needs d_min > 9, got {d_min}")
@@ -141,14 +140,7 @@ def census_range(
                 cells.append(fams)
             else:
                 empty += 1
-    def work(fams):
-        return tuple(_record(c) for c in fams)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(work, cells))
-    else:
-        chunks = [work(fams) for fams in cells]
-    records = tuple(r for chunk in chunks for r in chunk)
+    records = tuple(_record(c) for fams in cells for c in fams)
     summary = {
         "cells": len(cells) + empty,
         "empty_cells": empty,

@@ -14,6 +14,8 @@ import io
 import json
 import re
 import sys
+from dataclasses import asdict, astuple
+from functools import partial
 from pathlib import Path
 
 from .census import CSV_COLUMNS, _kleppe_text, census_csv, census_range, census_rows
@@ -21,14 +23,7 @@ from .cohomology import cohomology
 from .curve import curve_facts, invariants, is_smooth_standard, normality_profile
 from .errors import DegeneratePoints, PreconditionError
 from .lattice import Cremona, DivisorClass, Perm, reduce_to_standard
-from .obstruction import (
-    ObstructionVerdict,
-    classify,
-    dim_of,
-    gen_obstructed,
-    kleppe_of,
-    verdict_of,
-)
+from .obstruction import ObstructionVerdict, dim_of, gen_obstructed, kleppe_of, verdict_of
 from .oracle import h0_interpolation
 from .verify import run_checks
 
@@ -124,15 +119,6 @@ def _dim_json(r) -> dict:
     return {"kind": "interval", "lo": r.lo, "hi": r.hi, "method": r.method}
 
 
-def _kleppe_json(k) -> dict:
-    return {
-        "kind": k.kind,
-        "failed_hypothesis": k.failed_hypothesis,
-        "dim": k.dim,
-        "range_tag": k.range_tag,
-    }
-
-
 # --- per-command payload builders -----------------------------------------
 
 
@@ -203,7 +189,7 @@ def _cmd_kleppe(cls: DivisorClass) -> dict:
         "standard": str(facts.standard),
         "d": facts.d,
         "g": facts.g,
-        "kleppe": _kleppe_json(kleppe_of(facts)),
+        "kleppe": asdict(kleppe_of(facts)),
     }
 
 
@@ -258,9 +244,7 @@ def _flat(payload: dict, prefix: str = "") -> list[tuple[str, str]]:
 
 def _csv_rows(rows: list[list[str]]) -> str:
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        w.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
@@ -312,6 +296,16 @@ def _aligned_table(header: list[str], rows) -> str:
     return "\n".join([fmt_row(header)] + [fmt_row(r) for r in rows]) + "\n"
 
 
+def _render_report(fmt: str, doc: dict, header: list[str], rows, tail: str) -> str:
+    """A whole-run report (census, verify-paper): doc as indented JSON, header
+    and rows as CSV, or header and rows as an aligned table followed by tail."""
+    if fmt == "json":
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "csv":
+        return _csv_rows([header, *rows])
+    return _aligned_table(header, rows) + tail
+
+
 # --- top-level dispatch -----------------------------------------------------
 
 
@@ -328,51 +322,44 @@ def _class_inputs(args) -> list[DivisorClass]:
 
 def _dispatch(args) -> tuple[str, int]:
     fmt = args.format
-    if args.command in CLASS_COMMANDS:
-        classes = _class_inputs(args)
-        payloads = [CLASS_COMMANDS[args.command](c) for c in classes]
-        return _render_payloads(payloads, fmt, batch=args.stdin), 0
-
     if args.command == "oracle-h0":
-        classes = _class_inputs(args)
-        payloads = [_cmd_oracle(c, args.seed) for c in classes]
+        cmd = partial(_cmd_oracle, seed=args.seed)
+    else:
+        cmd = CLASS_COMMANDS.get(args.command)
+    if cmd is not None:
+        payloads = [cmd(c) for c in _class_inputs(args)]
         return _render_payloads(payloads, fmt, batch=args.stdin), 0
 
     if args.command == "gen-obstructed":
         a, b = parse_class_text(args.dprime, 5)
         cls = gen_obstructed(args.k, (a, *b))
-        d, g = invariants(cls)
+        facts = curve_facts(cls)
         payload = {
             "k": args.k,
             "dprime": args.dprime,
             "class": str(cls),
-            "d": d,
-            "g": g,
-            "verdict": _verdict_json(classify(cls)),
+            "d": facts.d,
+            "g": facts.g,
+            "verdict": _verdict_json(verdict_of(facts)),
         }
         return _render_payloads([payload], fmt, batch=False), 0
 
     if args.command == "census":
-        records, summary = census_range(
-            args.d_min, args.d_max, args.g_min, args.g_max, threads=args.threads
-        )
+        records, summary = census_range(args.d_min, args.d_max, args.g_min, args.g_max)
         if fmt == "csv":
             return census_csv(records), 0
-        if fmt == "json":
-            payload = {
-                "params": {
-                    "d_min": args.d_min,
-                    "d_max": args.d_max,
-                    "g_min": args.g_min,
-                    "g_max": args.g_max,
-                },
-                "summary": summary,
-                "records": [_record_json(r) for r in records],
-            }
-            return json.dumps(payload, indent=2) + "\n", 0
-        table = _aligned_table(CSV_COLUMNS.split(","), census_rows(records))
+        doc = {
+            "params": {
+                "d_min": args.d_min,
+                "d_max": args.d_max,
+                "g_min": args.g_min,
+                "g_max": args.g_max,
+            },
+            "summary": summary,
+            "records": [_record_json(r) for r in records],
+        }
         tail = f"\ncells: {summary['cells']}  empty: {summary['empty_cells']}  records: {summary['records']}\n"
-        return table + tail, 0
+        return _render_report(fmt, doc, CSV_COLUMNS.split(","), census_rows(records), tail), 0
 
     if args.command == "verify-paper":
         checks = run_checks()
@@ -382,24 +369,11 @@ def _dispatch(args) -> tuple[str, int]:
             "flagged": sum(c.status == "FLAGGED" for c in checks),
         }
         code = 0 if counts["failed"] == 0 else 1
-        if fmt == "json":
-            payload = {
-                "checks": [
-                    {"check_id": c.check_id, "status": c.status, "detail": c.detail}
-                    for c in checks
-                ],
-                **counts,
-            }
-            return json.dumps(payload, indent=2) + "\n", code
-        if fmt == "csv":
-            rows = [[c.check_id, c.status, c.detail] for c in checks]
-            return _csv_rows([["check_id", "status", "detail"]] + rows), code
-        table = _aligned_table(
-            ["check", "status", "detail"],
-            [[c.check_id, c.status, c.detail] for c in checks],
-        )
+        doc = {"checks": [asdict(c) for c in checks], **counts}
+        # the table has always titled its first column "check"
+        header = ["check_id" if fmt == "csv" else "check", "status", "detail"]
         tail = f"\n{len(checks)} checks: {counts['passed']} passed, {counts['failed']} failed, {counts['flagged']} flagged\n"
-        return table + tail, code
+        return _render_report(fmt, doc, header, [astuple(c) for c in checks], tail), code
 
     raise _UsageError("error: no command given (see --help)")
 
@@ -433,7 +407,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--d-max", type=int, required=True)
     sp.add_argument("--g-min", type=int, required=True)
     sp.add_argument("--g-max", type=int, required=True)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1, help="accepted and ignored: the census runs in one thread")
 
     sp = sub.add_parser("gen-obstructed", parents=[common], help="build an obstructed class from (k, seed class)")
     sp.add_argument("--k", type=int, required=True)

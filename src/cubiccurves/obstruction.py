@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cohomology import h0
-from .curve import CurveFacts, abnormality, curve_facts, invariants, require_smooth_member
+from .curve import CurveFacts, curve_facts
 from .errors import DegreeTooSmall, DprimeNotNef, InvalidK, InvariantViolation, NotALine
 from .lattice import K, DivisorClass, lines27
 
@@ -95,27 +95,25 @@ def verdict_of(facts: CurveFacts) -> ObstructionVerdict:
 
 def h1_normal(c: DivisorClass) -> int:
     """h1 of the normal bundle of a smooth member: h0(S, C + 4K)."""
-    std = require_smooth_member(c)
-    return h0(std + 4 * K)
+    return curve_facts(c).h2
 
 
 def h0_normal(c: DivisorClass) -> int:
     """h0 of the normal bundle: 4d + h1(normal bundle)."""
-    std = require_smooth_member(c)
-    d, g = invariants(std)
-    val = 4 * d + h1_normal(std)
+    facts = curve_facts(c)
+    d = facts.d
+    val = 4 * d + h1_normal(c)
     if d > 9:
-        rr = d + g + 18 + abnormality(std, 3)
+        rr = d + facts.g + 18 + facts.defects[2]
         if val != rr:
-            raise InvariantViolation(f"h0(N) = {val} but d+g+18+h1(I_C(3)) = {rr} for {std}")
+            raise InvariantViolation(f"h0(N) = {val} but d+g+18+h1(I_C(3)) = {rr} for {facts.standard}")
     return val
 
 
 def flag_dim(c: DivisorClass) -> int:
     """Dimension of the incidence family {(curve, cubic)}: d + g + 18."""
-    std = require_smooth_member(c)
-    d, g = invariants(std)
-    return d + g + 18
+    facts = curve_facts(c)
+    return facts.d + facts.g + 18
 
 
 @dataclass(frozen=True, slots=True)

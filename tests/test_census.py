@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import threading
 
 import pytest
 
@@ -109,6 +110,18 @@ def test_census_threads_equal():
     many, s8 = census_range(10, 13, 0, 30, threads=8)
     assert one == many and s1 == s8
     assert census_csv(one) == census_csv(many)
+
+
+def test_threads_flag_starts_no_thread(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the census started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    argv = ["census", "--d-min", "10", "--d-max", "13", "--g-min", "0", "--g-max", "30", "--format", "csv"]
+    assert run([*argv, "--threads", "1"]) == 0
+    one = capsys.readouterr().out
+    assert run([*argv, "--threads", "4"]) == 0
+    assert capsys.readouterr().out == one
 
 
 def test_csv_shape():

@@ -1,8 +1,13 @@
 """CLI surface: parsing, exit codes, formats, batch mode."""
 
+import hashlib
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import cubiccurves
 from cubiccurves.cli import parse_class, parse_class_text, run
 from cubiccurves.lattice import DivisorClass
 
@@ -170,3 +175,58 @@ def test_oracle_h0_matrix_budget_exits_2(capsys):
         "error: class 30;16,16,16,16,16,16 (negative bi clamped to 0) is too large for the "
         "interpolation oracle: its 816 x 496 condition matrix has 404736 > 246016 entries\n"
     )
+
+
+# sha256 of each command's output in each format, taken before census and
+# verify-paper shared one report renderer
+RENDERING_SHA256 = {
+    ("verify-paper",): {
+        "json": "e217a7ed9a4401ad03dd949def697a85ea81a798ad2be2d0f4ac5bcf8543324e",
+        "csv": "f2de55828e5d97d2317ff9a2d40f1df19ef151a6029aeb31fcd3c768c8049544",
+        "table": "d6146b1f62a2cb0854b40f4ca760bf84b464bbb4cd4708733c0d4be6247316c9",
+    },
+    ("gen-obstructed", "--k", "1", "--dprime", "1;1,0,0,0,0"): {
+        "json": "28f23ccb214ff95173ad8e5a89172d34061ced41ae105937ac5942de72733fb6",
+        "csv": "511ed48686e0831fd3a2d112b6f69ba5ff0560c9362dc48b76ec0c97f5853a89",
+        "table": "35e970613b3613c66e68f12de057d8d539d94beca898beeb9e0e4723866b0d36",
+    },
+    ("kleppe", "14;2,2,2,2,2,2"): {
+        "json": "6eb70ac10d02c6b8c37c35498524c572f8c466b24da50fefa0dc742408235a18",
+        "csv": "d02442f17456efb8d2bea8aba22a15cb23150b762e64924a150bd773680ad899",
+        "table": "8857a77b9d84cf1597636183a17714ea3b19444ce2db6969ba6427df335698a9",
+    },
+    ("invariants", "12;4,4,4,4,2,2"): {
+        "json": "f3089f9c3a8937fc7b127df4e7717e403c082027fe57baec8ec237387fb390af",
+        "csv": "74e207afa62c6bab7d52fc983aca335b47a12f093f86a5ef85b55b86a0ae7fb7",
+        "table": "c7067b1bc1f912efa0cf2b74e3bd55e96b22c464d22df7834b0b8a98799ccf06",
+    },
+    ("oracle-h0", "3;1,1,1,1,1,1", "--seed", "2"): {
+        "json": "68c0a93a84ca6f4c9c46c57e45c55316c6b212b5abd0cbd1423e0d19e2d50512",
+        "csv": "261e46dceeec21b89843421e03627a6c63b8e178c47a2cc0ca6fdb32292ec65b",
+        "table": "a98d0f50b98605b546ccc727100d1bc2efd34310eb02dfc5393e87c8598cf2df",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "argv,fmt",
+    [(argv, fmt) for argv, by_fmt in RENDERING_SHA256.items() for fmt in sorted(by_fmt)],
+    ids=lambda v: v[0] if isinstance(v, tuple) else v,
+)
+def test_rendering_bytes_pinned(argv, fmt, capsys):
+    assert run([*argv, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == RENDERING_SHA256[argv][fmt]
+
+
+def test_cold_import_loads_no_thread_pool():
+    # the CLI's cold start imports neither concurrent.futures nor the
+    # logging package it pulls in
+    src = str(Path(cubiccurves.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import cubiccurves.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
