@@ -3,10 +3,11 @@
 A family is a standard-form class (b1 >= ... >= b6 >= 0, a >= b1+b2+b3)
 with a smooth member (a > b1).  For fixed degree d the coefficient sum is
 pinned to 3a - d and a is confined to [ceil(d/3), d], so enumeration is a
-bounded partition walk.  Census records are pure functions of the class,
-each built from one CurveFacts pass, and come out in a fixed (d, g, class)
-order.  The census runs in one thread; a thread count is accepted and
-ignored, because a thread pool made the census no faster.
+bounded partition walk, and its classes need no reduction.  Census records
+are pure functions of the class, each built from one CurveFacts pass on
+plain integers, and come out in a fixed (d, g, class) order.  The census
+runs in one thread; a thread count is accepted and ignored, because a
+thread pool made the census no faster.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import csv
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .curve import curve_facts, hodge_genus_bound, invariants
-from .errors import DegreeTooSmall, GenusOutOfHodgeRange, NonPositiveDegree
-from .lattice import DivisorClass
+from .curve import CurveFacts, _standard_facts, curve_facts, hodge_genus_bound, is_smooth_standard
+from .errors import DegreeTooSmall, GenusOutOfHodgeRange, InvariantViolation, NonPositiveDegree
+from .lattice import DivisorClass, is_standard
 from .obstruction import (
     HilbertDimResult,
     KleppeVerdict,
@@ -29,41 +30,40 @@ from .obstruction import (
 )
 
 
-def _descending_tuples(total: int, cap: int, head_budget: int):
-    """Non-increasing 6-tuples >= 0 with the given sum, b1 <= cap and
-    b1+b2+b3 <= head_budget."""
+def _standard_coefficients(d: int):
+    """(a, b) of every standard smooth-member class of degree d, a ascending
+    and, for each a, b descending lexicographically.
 
-    def rec(pos: int, remaining: int, prev: int, head: int):
-        if pos == 6:
-            if remaining == 0:
-                yield ()
-            return
-        lo = 0
-        hi = min(prev, remaining)
-        if pos < 3:
-            hi = min(hi, head)
-        # the remaining slots can absorb at most (6-pos-1)*value more
-        for v in range(hi, lo - 1, -1):
-            if remaining - v > v * (5 - pos):
-                continue
-            for rest in rec(pos + 1, remaining - v, v, head - v if pos < 3 else head):
-                yield (v,) + rest
-
-    yield from rec(0, total, cap, head_budget)
+    b1 >= ... >= b6 >= 0 sum to s = 3a - d, with b1 <= a - 1 (a smooth
+    member) and b1+b2+b3 <= a.  Slot k = 0..5 takes at least
+    ceil(remaining / (6 - k)), or the slots after it could not absorb the
+    rest; b6 is what is left, and that bound on b5 keeps it in [0, b5].
+    """
+    for a in range((d + 2) // 3, d + 1):
+        s = 3 * a - d
+        for b1 in range(min(a - 1, s), (s + 5) // 6 - 1, -1):
+            r1 = s - b1
+            for b2 in range(min(b1, r1, a - b1), (r1 + 4) // 5 - 1, -1):
+                r2 = r1 - b2
+                for b3 in range(min(b2, r2, a - b1 - b2), (r2 + 3) // 4 - 1, -1):
+                    r3 = r2 - b3
+                    for b4 in range(min(b3, r3), (r3 + 2) // 3 - 1, -1):
+                        r4 = r3 - b4
+                        for b5 in range(min(b4, r4), (r4 + 1) // 2 - 1, -1):
+                            yield a, (b1, b2, b3, b4, b5, r4 - b5)
 
 
 @lru_cache(maxsize=64)
 def _families_by_genus(d: int) -> dict[int, tuple[DivisorClass, ...]]:
-    out: dict[int, list[DivisorClass]] = {}
-    for a in range((d + 2) // 3, d + 1):
-        s = 3 * a - d
-        if s < 0:
-            continue
-        for b in _descending_tuples(s, cap=a - 1, head_budget=a):
-            cls = DivisorClass(a, b)
-            _, g = invariants(cls)
-            out.setdefault(g, []).append(cls)
-    return {g: tuple(sorted(v, key=lambda c: (c.a, c.b))) for g, v in out.items()}
+    """The standard smooth-member classes of degree d by genus, each bucket
+    sorted on (a, b1..b6); the genus is read off the coefficients once."""
+    out: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for a, b in _standard_coefficients(d):
+        t = a * (a - 3) - sum([x * (x - 1) for x in b])  # C.C + K.C
+        if t % 2:
+            raise InvariantViolation(f"odd C.C + K.C = {t} for {DivisorClass(a, b)}")
+        out.setdefault(1 + t // 2, []).append((a, b))
+    return {g: tuple([DivisorClass(a, b) for a, b in sorted(v)]) for g, v in out.items()}
 
 
 def enumerate_families(d: int, g: int) -> tuple[DivisorClass, ...]:
@@ -91,8 +91,22 @@ class CensusRecord:
 
 
 def _record(cls: DivisorClass) -> CensusRecord:
-    """The census record of cls, read off one curve_facts pass."""
-    facts = curve_facts(cls)
+    """The census record of any smooth-member class, read off one curve_facts pass."""
+    return _record_of(cls, curve_facts(cls))
+
+
+def _enumerated_record(cls: DivisorClass, d: int, g: int) -> CensusRecord:
+    """The census record of an enumerated class of degree d and genus g.
+
+    The class is already standard, so it is checked, not reduced: sorted
+    with a >= b1+b2+b3, and a > b1, b6 >= 0 for a smooth member.
+    """
+    if not (is_standard(cls) and is_smooth_standard(cls)):
+        raise InvariantViolation(f"enumerated class {cls} is not a standard smooth-member class")
+    return _record_of(cls, _standard_facts(cls, d, g))
+
+
+def _record_of(cls: DivisorClass, facts: CurveFacts) -> CensusRecord:
     normality = 0
     for n, defect in enumerate(facts.defects, start=1):
         if defect != 0:
@@ -120,8 +134,9 @@ def census_range(
 
     g cells beyond the Hodge bound of their degree are skipped entirely;
     the summary counts only cells within the bound.  Each record comes from
-    a single curve_facts pass over its class (see _record).  The census
-    runs in the calling thread; threads is accepted and ignored.
+    a single facts pass over its enumerated class, which is standard already
+    and is not reduced again (see _enumerated_record).  The census runs in
+    the calling thread; threads is accepted and ignored.
     """
     if d_min <= 9:
         raise DegreeTooSmall(f"census needs d_min > 9, got {d_min}")
@@ -131,16 +146,13 @@ def census_range(
     empty = 0
     for d in range(d_min, d_max + 1):
         by_g = _families_by_genus(d)
-        top = hodge_genus_bound(d)
-        for g in range(g_min, g_max + 1):
-            if g > top:
-                continue
+        for g in range(g_min, min(g_max, hodge_genus_bound(d)) + 1):
             fams = by_g.get(g, ())
             if fams:
-                cells.append(fams)
+                cells.append((d, g, fams))
             else:
                 empty += 1
-    records = tuple(_record(c) for fams in cells for c in fams)
+    records = tuple(_enumerated_record(c, d, g) for d, g, fams in cells for c in fams)
     summary = {
         "cells": len(cells) + empty,
         "empty_cells": empty,

@@ -51,7 +51,18 @@ def _strip(a: int, b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
     atomic subtraction happens while the running class still pairs
     negatively with l, so h0 is preserved throughout, and -K.D drops by at
     least 1 per pass, which bounds the loop.
+
+    First step, for a standard-ordered class (b1 >= ... >= b6, b3 >= 0,
+    a >= b1+b2+b3): its pairings are bi, a-bi-bj >= a-b1-b2 >= b3 >= 0 and
+    2a-sum(b)+bi >= 2a-(b1+...+b5) >= 0, so the only negative lines are the
+    ei with bi < 0, each taken -bi times.  One pass strips exactly those, and
+    the residue (a; max(bi, 0)) satisfies the same bounds, hence is nef.  The
+    loop would end there too: for D != 0, -K.D = -K.residue + sum(max(-bi, 0))
+    > 0, so its degree test never fires.  Every other class runs the loop.
     """
+    b1, b2, b3, b4, b5, b6 = b
+    if b1 >= b2 >= b3 >= b4 >= b5 >= b6 and b3 >= 0 and a >= b1 + b2 + b3:
+        return a, b if b6 >= 0 else (b1, b2, b3, max(b4, 0), max(b5, 0), max(b6, 0))
     while True:
         if a == 0 and b == _ZERO_B:
             return a, b

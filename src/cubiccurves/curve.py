@@ -79,19 +79,26 @@ class CurveFacts:
 
 
 def curve_facts(c: DivisorClass) -> CurveFacts:
-    """The CurveFacts of c, computed in one pass on its standard form (or NotSmoothMember).
-
-    The twists run on the coefficients: -(C + nK) = (3n - a; n - b1, ..., n - b6)
-    and C + (n+1)K = (a - 3n - 3; b1 - n - 1, ..., b6 - n - 1).
-    """
+    """The CurveFacts of c, computed in one pass on its standard form (or NotSmoothMember)."""
     std = require_smooth_member(c)
     d, g = invariants(std)
+    return _standard_facts(std, d, g)
+
+
+def _standard_facts(std: DivisorClass, d: int, g: int) -> CurveFacts:
+    """The CurveFacts of a smooth-member class std already in standard form,
+    of degree d and genus g.
+
+    The twists run on the coefficients: -(C + nK) = (3n - a; n - b1, ..., n - b6)
+    has degree 3n - d, so its h0 is 0 without stripping when d > 3n, and
+    C + (n+1)K = (a - 3n - 3; b1 - n - 1, ..., b6 - n - 1).
+    """
     a, b = std.a, std.b
     twists = []
     for n in (1, 2, 3):
         ta, tb = 3 * n - a, tuple([n - x for x in b])
         h2 = h0_ab(a - 3 * n - 3, tuple([x - n - 1 for x in b]))
-        twists.append(triple(ta, tb, h0_ab(ta, tb), h2))
+        twists.append(triple(ta, tb, 0 if d > 3 * n else h0_ab(ta, tb), h2))
     t1, t2, t3 = twists
     return CurveFacts(
         standard=std,

@@ -195,8 +195,8 @@ def apply_word(word: WeylWord, d: DivisorClass) -> DivisorClass:
 
 def is_standard(d: DivisorClass) -> bool:
     """b1 >= ... >= b6 and a >= b1 + b2 + b3."""
-    b = d.b
-    return all(b[i] >= b[i + 1] for i in range(5)) and d.a >= b[0] + b[1] + b[2]
+    b1, b2, b3, b4, b5, b6 = d.b
+    return b1 >= b2 >= b3 >= b4 >= b5 >= b6 and d.a >= b1 + b2 + b3
 
 
 def _sort_perm(b: tuple[int, ...]) -> tuple[int, ...]:

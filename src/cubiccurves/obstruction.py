@@ -16,10 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import h0
+from .cohomology import h0_ab
 from .curve import CurveFacts, curve_facts
 from .errors import DegreeTooSmall, DprimeNotNef, InvalidK, InvariantViolation, NotALine
 from .lattice import K, DivisorClass, lines27
+
+
+def _restriction_onto(da: int, db: tuple[int, ...], ea: int, eb: tuple[int, ...]) -> bool:
+    """restriction_surjective on the coefficients of Delta = (da; db) and a line E = (ea; eb)."""
+    deg = da * ea - sum([x * y for x, y in zip(db, eb)])
+    target = deg + 1 if deg >= 0 else 0
+    return h0_ab(da, db) - h0_ab(da - ea, tuple([x - y for x, y in zip(db, eb)])) == target
 
 
 def restriction_surjective(delta: DivisorClass, e: DivisorClass) -> bool:
@@ -30,9 +37,7 @@ def restriction_surjective(delta: DivisorClass, e: DivisorClass) -> bool:
     """
     if e.square != -1 or K.dot(e) != -1:
         raise NotALine(f"{e} is not a line class")
-    deg = delta.dot(e)
-    target = deg + 1 if deg >= 0 else 0
-    return h0(delta) - h0(delta - e) == target
+    return _restriction_onto(delta.a, delta.b, e.a, e.b)
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,7 +73,8 @@ def verdict_of(facts: CurveFacts) -> ObstructionVerdict:
     # L is not nef.
     if min(facts.pairings) >= 0:
         raise InvariantViolation(f"L = C+3K is nef while h1(-L) and h2(-L) are nonzero for {facts.standard}")
-    L = facts.standard + 3 * K
+    # (a; b) = L + K = C + 4K, and Delta = L + K - 2mE below
+    a, b = facts.standard.a - 12, [x - 4 for x in facts.standard.b]
     witnesses: list[tuple[DivisorClass, int, str]] = []
     for e, pairing in zip(lines27(), facts.pairings):
         m = -pairing
@@ -78,10 +84,8 @@ def verdict_of(facts: CurveFacts) -> ObstructionVerdict:
             raise InvariantViolation(f"fixed multiplicity {m} > 3 for smooth member {facts.standard}")
         if m == 1:
             witnesses.append((e, m, "m=1"))
-        else:
-            delta = L + K - (2 * m) * e
-            if restriction_surjective(delta, e):
-                witnesses.append((e, m, "rho-surjective"))
+        elif _restriction_onto(a - 2 * m * e.a, tuple([x - 2 * m * y for x, y in zip(b, e.b)]), e.a, e.b):
+            witnesses.append((e, m, "rho-surjective"))
     if witnesses:
         e, m, rule = witnesses[0]
         return ObstructionVerdict(

@@ -3,12 +3,17 @@
 import csv
 import hashlib
 import io
+import sys
 import threading
+import time
+from collections import Counter
 
 import pytest
 
+from cubiccurves import census
 from cubiccurves.census import (
     CSV_COLUMNS,
+    _standard_coefficients,
     census_csv,
     census_range,
     enumerate_families,
@@ -76,6 +81,34 @@ def _brute_all_degree_12():
     return out
 
 
+def _descending_tuples(total: int, cap: int, head_budget: int):
+    """The recursive enumeration the census loop replaced: non-increasing
+    6-tuples >= 0 with the given sum, b1 <= cap and b1+b2+b3 <= head_budget."""
+
+    def rec(pos: int, remaining: int, prev: int, head: int):
+        if pos == 6:
+            if remaining == 0:
+                yield ()
+            return
+        hi = min(prev, remaining)
+        if pos < 3:
+            hi = min(hi, head)
+        # the remaining slots can absorb at most (6-pos-1)*value more
+        for v in range(hi, -1, -1):
+            if remaining - v > v * (5 - pos):
+                continue
+            for rest in rec(pos + 1, remaining - v, v, head - v if pos < 3 else head):
+                yield (v,) + rest
+
+    yield from rec(0, total, cap, head_budget)
+
+
+def test_loop_enumeration_matches_recursive_reference():
+    for d in range(1, 41):
+        ref = [(a, b) for a in range((d + 2) // 3, d + 1) for b in _descending_tuples(3 * a - d, a - 1, a)]
+        assert list(_standard_coefficients(d)) == ref, d
+
+
 def test_enumeration_param_errors():
     with pytest.raises(NonPositiveDegree):
         enumerate_families(0, 0)
@@ -92,6 +125,45 @@ def test_census_range_guards():
         census_range(10, 12, 5, 4)
     with pytest.raises(GenusOutOfHodgeRange):
         census_range(12, 10, 0, 4)
+
+
+def test_census_g_max_past_hodge_bound_is_cheap():
+    top = hodge_genus_bound(10)
+    want = census_range(10, 10, 0, top)
+    t0 = time.perf_counter()
+    got = census_range(10, 10, 0, 10**12)
+    assert time.perf_counter() - t0 < 1.0
+    assert got == want
+    assert got[1]["cells"] == top + 1 and got[1]["records"] == 20
+    assert census_range(10, 10, top + 1, 10**12) == ((), {"cells": 0, "empty_cells": 0, "records": 0})
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    """Count calls of module.name in every cubiccurves namespace that holds it."""
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return orig(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "cubiccurves" and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+
+
+def test_census_records_are_not_reduced_again(monkeypatch):
+    from cubiccurves import curve, lattice
+
+    calls = Counter()
+    _count_calls(monkeypatch, lattice, "reduce_to_standard", calls)
+    _count_calls(monkeypatch, curve, "invariants", calls)
+    _count_calls(monkeypatch, curve, "require_smooth_member", calls)
+    census._families_by_genus.cache_clear()
+    records, _ = census_range(10, 16, 0, hodge_genus_bound(16))
+    assert len(records) == 342
+    assert calls["reduce_to_standard"] == 0
+    assert calls["require_smooth_member"] == 0
+    assert calls["invariants"] <= len(records)
 
 
 def test_census_small_block():
@@ -155,3 +227,19 @@ def test_census_rendering_bytes_pinned(fmt, capsys):
     assert run([*argv, "--format", fmt]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_D10_16_SHA256[fmt]
+
+
+# sha256 of `census --d-min 10 --d-max 30 --g-min 0 --g-max 406` (6,528
+# records), taken before the census ran on plain integers end to end
+CENSUS_D10_30_SHA256 = {
+    "csv": "8a683e96d25288547a70d1ccaa134b915abffa14131cdbed238666adf7494c19",
+    "json": "b9343caedee6fbbaddf556d5f7de10fe1aebe9fbdcf19bb43204d9b60dc18b83",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(CENSUS_D10_30_SHA256))
+def test_census_d10_30_bytes_pinned(fmt, capsys):
+    argv = ["census", "--d-min", "10", "--d-max", "30", "--g-min", "0", "--g-max", str(hodge_genus_bound(30))]
+    assert run([*argv, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_D10_30_SHA256[fmt]

@@ -67,3 +67,14 @@ def test_facts_pairings_are_those_of_the_adjoint_class():
 def test_facts_need_a_smooth_member():
     with pytest.raises(NotSmoothMember):
         curve_facts(DivisorClass.of(1, 1, 1, 1, 0, 0, 0))
+
+
+def test_negative_degree_twist_shortcut_is_strict():
+    # -(C + nK) has degree 3n - d; at d = 3n it can still be effective:
+    # C = -nK gives -(C + nK) = 0, whose h0 is 1
+    for n in (1, 2, 3):
+        f = curve_facts(-n * K)
+        assert f.d == 3 * n
+        assert f.twists[n - 1].h0 == h0(DivisorClass.of(0, 0, 0, 0, 0, 0, 0)) == 1
+        for m, t in enumerate(f.twists, start=1):
+            assert t.h0 == h0(-(f.standard + m * K))

@@ -54,6 +54,14 @@ CASES = {
         "ob = importlib.import_module('cubiccurves.obstruction'); ob.lines27 = lambda: (-ob.K,) * 27",
         ["gen-obstructed", "--k", "0"],
     ),
+    # an enumerated class is checked, not reduced: one that is not standard
+    # (a W(E6)-moved copy of the (10, 5) family (5; 2,1,1,1,0,0)) must be
+    # rejected on the census record path
+    "census-class-not-standard": (
+        "ce = importlib.import_module('cubiccurves.census');"
+        " ce._families_by_genus = lambda d: {5: (ce.DivisorClass.of(5, 1, 1, 2, 1, 0, 0),)}",
+        ["census", "--d-min", "10", "--d-max", "10", "--g-min", "5", "--g-max", "5"],
+    ),
     # the generated class must classify as Obstructed
     "generator-obstructed": (
         "ob = importlib.import_module('cubiccurves.obstruction');"
