@@ -5,19 +5,28 @@ point of multiplicity >= bi at each of six general points, so h0 is
 
     (a+1)(a+2)/2  -  rank(vanishing conditions)
 
-with one row per partial derivative of order < bi per point.  Negative bi
-are first clamped to 0 (forced fixed exceptional components do not change
-h0) and a < 0 gives 0 outright.  Classes that still have a > A_MAX after
-clamping are turned away (OracleTooLarge) instead of running for minutes.
+with one condition per partial derivative of order < bi per point.
+Negative bi are first clamped to 0 (forced fixed exceptional components do
+not change h0) and a < 0 gives 0 outright.  Classes that still have
+a > A_MAX after clamping, or whose condition matrix would have more than
+CELLS_MAX entries, are turned away (OracleTooLarge) instead of running for
+minutes.
 
-The rank is taken by Gaussian elimination over Z/P with the prime
-P = 2^61 - 1 (modular_rank; no floating point).  Each row is packed into
-one Python int, one fixed-width slot per column, so clearing a column of a
-row is one big-int multiply-add rather than one interpreted step per entry.
-The slots are wide enough (2^W > P + cols * (P-1)^2) that a row is reduced
-mod P only once, on entry, and no slot ever carries into the next.  A minor
-that is nonzero mod P is nonzero over the integers, and ranks at special
-points can only drop, so
+The rank is taken over Z/P with the prime P = 2^61 - 1 (no floating point),
+after one projective change of coordinates per point set (condition_rank).
+The three points of largest multiplicity go to the coordinate points
+[0:0:1], [0:1:0], [1:0:0], where "multiplicity >= m" only says that the
+coefficients of some monomials vanish; the monomials they kill are counted
+and only the other three points' conditions are eliminated, on the
+monomials left.  The rank mod P is the same as that of the untransformed
+matrix: the change of coordinates is invertible over F_P (its determinant
+is a nonzero integer below P in absolute value), it maps "vanishes to order
+m at p" onto "vanishes to order m at its image", and P exceeds every
+degree, so derivatives of order < m describe order-m vanishing over F_P as
+they do over Q.  A degenerate point set raises DegeneratePoints.
+
+A minor that is nonzero mod P is nonzero over the integers, and ranks at
+special points can only drop, so
 
     rank mod P  <=  rank over Q at the points  <=  generic rank,
     h0 mod P    >=  h0 at the points           >=  generic h0.
@@ -49,11 +58,14 @@ try:  # optional: exact_rank (Bareiss) only sees the 6x6 conic test's matrices
 except ImportError:  # pragma: no cover
     mpz = int
 
-COORD_MAX = 99  # grid height; well under the 10^4 cap, keeps minors small
-P = 2**61 - 1  # the Mersenne prime modular_rank eliminates over
+# grid height, well under the 10^4 cap; keeps minors small, and each 3x3
+# determinant of points below 2 * 99^2 < P, so no three points are
+# collinear mod P either
+COORD_MAX = 99
+P = 2**61 - 1  # the Mersenne prime the ranks are taken over
 A_MAX = 30  # largest clamped a the oracle takes on
-# largest condition matrix (rows x columns): the square one at a = A_MAX;
-# the elimination's cost follows the matrix, not a alone
+# largest condition matrix of the six points (rows x columns): the square
+# one at a = A_MAX
 CELLS_MAX = ((A_MAX + 1) * (A_MAX + 2) // 2) ** 2
 
 
@@ -85,30 +97,53 @@ def _pack(entries, nbytes: int) -> int:
     return int.from_bytes(b"".join(x.to_bytes(nbytes, "little") for x in entries), "little")
 
 
-def modular_rank(rows) -> int:
-    """Rank over Z/P of an integer matrix, by packed-row elimination.
+def _slot_bytes(pivots: int) -> int:
+    """Bytes per slot that no row outgrows in an elimination with <= pivots pivots.
 
-    Each row is reduced mod P once and packed into one int, one byte-aligned
-    slot of W bits per column with the leading column in the lowest slot.
-    Pivots like exact_rank, on the first row whose leading slot is nonzero
-    mod P; the pivot row is unpacked, reduced, scaled to lead with -1 and
-    repacked, so clearing the leading column of any other row r is one
+    A slot starts below P^2 and takes at most one update per pivot, which
+    adds f * s with f < P and a pivot slot s < 2^62 (see _folds), so every
+    slot stays below (pivots + 1) * 2^123.
+    """
+    return (((pivots + 1) << 123).bit_length() + 7) // 8
+
+
+def _fold(row: int, low: int, high: int) -> int:
+    """Each slot's bits above bit 61 added to its low 61 bits: the same residue mod P = 2^61 - 1.
+
+    low holds P in every slot, high the W - 61 low bits.  A slot below B
+    comes out below P + 1 + (B >> 61), and none carries.
+    """
+    return (row & low) + ((row >> 61) & high)
+
+
+def _folds(bound: int) -> int:
+    """How many folds take every slot below bound to below 2^62."""
+    n = 0
+    while bound >= 1 << 62:
+        n, bound = n + 1, P + 1 + (bound >> 61)
+    return n
+
+
+def _eliminate(packed: list[int], cols: int, nbytes: int) -> int:
+    """Rank over Z/P of packed rows: one slot of W = 8 * nbytes bits per column.
+
+    The leading column sits in the lowest slot.  Pivots on the first row
+    whose leading slot is nonzero mod P.  The pivot row is folded below 2^62
+    per slot, scaled to lead with -1 and folded below 2^62 again, all on the
+    packed row.  Clearing the leading column of any other row r is then one
     big-int multiply-add (r >> W) + ((r & mask) % P) * pivot, which also
     drops that column.  Rows that are zero mod P ride along with factor 0.
-
-    Other rows are never reduced again.  A row takes at most one update per
-    column, each adding at most (P-1)^2 to a slot that started below P, so
-    W is chosen with 2^W > P + cols * (P-1)^2: slots stay non-negative and
-    never carry into their neighbours.
+    Other rows are never reduced.  Slots must start below P^2, and nbytes
+    be _slot_bytes(k) for some k >= min(rows, cols), the most pivots there
+    can be; then no slot ever carries into its neighbour.
     """
-    rows = [[x % P for x in row] for row in rows]
-    cols = len(rows[0]) if rows else 0
-    nbytes = ((P + cols * (P - 1) ** 2).bit_length() + 7) // 8
     width = 8 * nbytes
     mask = (1 << width) - 1
-    packed = [_pack(row, nbytes) for row in rows]
+    low = _pack([P] * cols, nbytes)
+    high = _pack([(1 << (width - 61)) - 1] * cols, nbytes)
+    before, after = _folds(1 << width), _folds((P - 1) << 62)
     rank = 0
-    for col in range(cols):
+    for _ in range(cols):
         if not packed:
             break
         leads = [(r & mask) % P for r in packed]
@@ -116,15 +151,22 @@ def modular_rank(rows) -> int:
         if piv_idx is None:
             packed = [r >> width for r in packed]
             continue
-        raw = packed.pop(piv_idx).to_bytes((cols - col) * nbytes, "little")
-        scale = P - pow(leads.pop(piv_idx), -1, P)
-        pivot = _pack(
-            (int.from_bytes(raw[i : i + nbytes], "little") * scale % P for i in range(nbytes, len(raw), nbytes)),
-            nbytes,
-        )
+        pivot = packed.pop(piv_idx) >> width
+        for _ in range(before):
+            pivot = _fold(pivot, low, high)
+        pivot *= P - pow(leads.pop(piv_idx), -1, P)
+        for _ in range(after):
+            pivot = _fold(pivot, low, high)
         rank += 1
         packed = [(r >> width) + f * pivot for r, f in zip(packed, leads)]
     return rank
+
+
+def modular_rank(rows) -> int:
+    """Rank over Z/P of an integer matrix, by packed-row elimination (_eliminate)."""
+    cols = len(rows[0]) if rows else 0
+    nbytes = _slot_bytes(min(len(rows), cols))
+    return _eliminate([_pack([x % P for x in row], nbytes) for row in rows], cols, nbytes)
 
 
 @dataclass(frozen=True)
@@ -152,40 +194,78 @@ def point_config(seed: int) -> PointConfig:
     raise DegeneratePoints(f"no general-position sample after 10 tries (seed {seed})")
 
 
-def _monomials(a: int) -> list[tuple[int, int]]:
-    return [(u, s - u) for s in range(a + 1) for u in range(s, -1, -1)]
+def _derivatives(x: int, a: int, m: int) -> list[list[int]]:
+    """d[j][u] = (d/dx)^j x^u = u!/(u-j)! x^(u-j) mod P, for j < m and u <= a."""
+    xp = [1] * (a + 1)
+    for i in range(1, a + 1):
+        xp[i] = xp[i - 1] * x % P
+    return [[math.perm(u, j) * xp[u - j] % P if u >= j else 0 for u in range(a + 1)] for j in range(m)]
 
 
-def _condition_rows(a: int, mults, cfg: PointConfig):
-    mons = _monomials(a)
-    rows = []
-    for (x, y), m in zip(cfg.points, mults):
-        if m <= 0:
+def condition_rank(a: int, mults, cfg: PointConfig) -> int:
+    """Rank mod P of the conditions "multiplicity >= mults[i] at point i" on degree a.
+
+    The three heaviest points p0, p1, p2 (ties by index) go to [0:0:1],
+    [0:1:0] and [1:0:0] by adj(M), M = [p2 | p1 | p0].  There the
+    conditions on the coefficient of x^u y^v say it is 0 when u + v < m0,
+    when v > a - m1 or when u > a - m2.  Those monomials count once each,
+    however many of the three kill them.  The other points, mapped by adj(M)
+    and scaled into the chart z = 1 mod P, give one row per partial
+    derivative of order < m over the monomials left, ordered by v and then
+    u, and those rows are eliminated.  DegeneratePoints if det M or the
+    last coordinate of a mapped point is 0 mod P.
+    """
+    order = sorted(range(len(mults)), key=lambda i: -mults[i])
+    heavy, light = order[:3], order[3:]
+    m0, m1, m2 = (mults[i] for i in heavy)
+    (x0, y0), (x1, y1), (x2, y2) = (cfg.points[i] for i in heavy)
+    # rows of adj(M): p1 x p0, p0 x p2 and p2 x p1, whose dot with p is det[p2 | p1 | p]
+    adj = (
+        (y1 - y0, x0 - x1, x1 * y0 - x0 * y1),
+        (y0 - y2, x2 - x0, x0 * y2 - x2 * y0),
+        (y2 - y1, x1 - x2, x2 * y1 - x1 * y2),
+    )
+    if (adj[2][0] * x0 + adj[2][1] * y0 + adj[2][2]) % P == 0:
+        raise DegeneratePoints(f"points {heavy} of seed {cfg.seed} are collinear mod P")
+    points = []
+    for i in light:
+        if mults[i] <= 0:
             continue
-        xp = [1] * (a + 1)
-        yp = [1] * (a + 1)
-        for i in range(1, a + 1):
-            xp[i] = xp[i - 1] * x
-            yp[i] = yp[i - 1] * y
-        for j in range(m):
-            for k in range(m - j):
-                rows.append(
-                    [
-                        math.perm(u, j) * math.perm(v, k) * xp[u - j] * yp[v - k]
-                        if u >= j and v >= k
-                        else 0
-                        for u, v in mons
-                    ]
-                )
-    return rows
+        x, y = cfg.points[i]
+        X, Y, Z = (r[0] * x + r[1] * y + r[2] for r in adj)
+        if Z % P == 0:
+            raise DegeneratePoints(f"points {[heavy[2], heavy[1], i]} of seed {cfg.seed} are collinear mod P")
+        zinv = pow(Z, -1, P)
+        points.append((X * zinv % P, Y * zinv % P, mults[i]))
+    # the monomials left: for each v <= a - m1, the run of u from
+    # max(m0 - v, 0) to min(a - m2, a - v), at column offset off
+    runs, cols = [], 0
+    for v in range(a - m1 + 1):
+        lo, hi = max(m0 - v, 0), min(a - m2, a - v) + 1
+        if lo < hi:
+            runs.append((v, lo, hi, cols))
+            cols += hi - lo
+    fixed = (a + 1) * (a + 2) // 2 - cols
+    if not cols or not points:
+        return fixed
+    nbytes = _slot_bytes(min(sum(m * (m + 1) // 2 for _, _, m in points), cols))
+    width = 8 * nbytes
+    packed = []
+    for x, y, m in points:
+        dy = _derivatives(y, a, m)
+        for j, dxj in enumerate(_derivatives(x, a, m)):
+            # (d/dx)^j of x^u on each run, at its columns; the row of
+            # (d/dx)^j (d/dy)^k weights run v by (d/dy)^k y^v
+            runs_x = [(v, _pack(dxj[lo:hi], nbytes) << (width * off)) for v, lo, hi, off in runs]
+            packed += [sum([dyk[v] * run for v, run in runs_x]) for dyk in dy[: m - j]]
+    return fixed + _eliminate(packed, cols, nbytes)
 
 
 @lru_cache(maxsize=100_000)
 def _h0_at(d: DivisorClass, seed: int) -> int:
-    cfg = point_config(seed)
     mults = [max(x, 0) for x in d.b]
     n = (d.a + 1) * (d.a + 2) // 2
-    return n - modular_rank(_condition_rows(d.a, mults, cfg))
+    return n - condition_rank(d.a, mults, point_config(seed))
 
 
 def h0_interpolation(d: DivisorClass, seed: int = 0) -> int:

@@ -24,7 +24,7 @@ from cubiccurves.cohomology import (
     is_effective,
     is_nef,
 )
-from cubiccurves.curve import abnormality, hodge_genus_bound, invariants
+from cubiccurves.curve import abnormality, curve_facts, hodge_genus_bound, invariants
 from cubiccurves.lattice import (
     Cremona,
     DivisorClass,
@@ -226,24 +226,66 @@ def test_criterion_07_oracle_equivalence(capfd):
     _verdict(capfd, 7, f"oracle == engine on {len(grid)} grid + {len(pinned)} named classes, 3 seeds", bad)
 
 
+def _twists(records) -> list[DivisorClass]:
+    """C+nK, n = 0..4, of each record: the classes whose h0 the census reads."""
+    return [r.cls + n * K for r in records for n in range(5)]
+
+
+def _restriction_classes(records) -> list[DivisorClass]:
+    """Delta = C+4K-2mE and Delta-E for each line E that verdict_of tests by restriction.
+
+    Those are the lines with m = -(C+3K).E in {2, 3} on the records whose
+    h1(I_C(3)) and h0(C+4K) are both nonzero.
+    """
+    out = []
+    for r in records:
+        facts = curve_facts(r.cls)
+        if facts.defects[2] == 0 or facts.h2 == 0:
+            continue
+        for e, pairing in zip(lines27(), facts.pairings):
+            if -pairing in (2, 3):
+                delta = facts.standard + 4 * K + 2 * pairing * e
+                out += [delta, delta - e]
+    return out
+
+
+def _distinct_clamped(classes) -> set[DivisorClass]:
+    """The distinct classes the oracle eliminates for: bi clamped to 0, some bi > 0, a >= 0."""
+    return {D(c.a, *(max(x, 0) for x in c.b)) for c in classes if c.a >= 0 and max(c.b) > 0}
+
+
 def _oracle_mismatches(classes) -> list[str]:
-    """h0(C+nK), n = 0..4, by the oracle against the engine."""
+    """h0 by the oracle against the engine (the oracle's cache takes each clamped class once)."""
     bad = []
     for c in classes:
-        for n in range(5):
-            got, want = h0_interpolation(c + n * K), h0(c + n * K)
-            if got != want:
-                bad.append(f"{c + n * K}: oracle {got} engine {want}")
+        got, want = h0_interpolation(c), h0(c)
+        if got != want:
+            bad.append(f"{c}: oracle {got} engine {want}")
     return bad
+
+
+@pytest.fixture(scope="module")
+def census_30():
+    records, _ = census_range(10, 30, 0, hodge_genus_bound(30))
+    return records
 
 
 def test_oracle_equivalence_on_census_classes(census):
     # every census d 10..20 class with a >= 17 (a = 17..19, the top of the
     # census's range of a)
     records, _ = census
-    big = [r.cls for r in records if r.cls.a >= 17]
+    big = [r for r in records if r.cls.a >= 17]
     assert len(big) >= 10
-    assert not (bad := _oracle_mismatches(big)), bad
+    assert not (bad := _oracle_mismatches(_twists(big))), bad
+
+
+def test_oracle_on_restriction_classes(census):
+    # h0(Delta) and h0(Delta-E) of every restriction test the d 10..20
+    # census's verdicts make
+    records, _ = census
+    classes = _restriction_classes(records)
+    assert len(classes) == 132 and len(_distinct_clamped(classes)) == 30
+    assert not (bad := _oracle_mismatches(classes)), bad
 
 
 @pytest.mark.slow
@@ -251,7 +293,26 @@ def test_oracle_equivalence_on_census_classes_full(census):
     # every census d 10..20 record: 948 classes, 4,740 checks
     records, _ = census
     assert len(records) == 948
-    assert not (bad := _oracle_mismatches([r.cls for r in records])), bad
+    assert not (bad := _oracle_mismatches(_twists(records))), bad
+
+
+@pytest.mark.slow
+def test_oracle_equivalence_on_census_classes_d10_30(census_30):
+    # every census d 10..30 record: 6,528 classes, 32,640 checks on 6,736
+    # distinct clamped classes with a up to 30
+    classes = _twists(census_30)
+    assert len(census_30) == 6528 and len(_distinct_clamped(classes)) == 6736
+    assert not (bad := _oracle_mismatches(classes)), bad
+
+
+@pytest.mark.slow
+def test_oracle_on_restriction_classes_d10_30(census_30):
+    # the restriction tests of the d 10..30 census: 3,740 line tests, 7,480
+    # h0 values on 869 distinct clamped classes, all with a <= 10
+    classes = _restriction_classes(census_30)
+    distinct = _distinct_clamped(classes)
+    assert len(distinct) == 869 and max(c.a for c in distinct) <= 10
+    assert not (bad := _oracle_mismatches(classes)), bad
 
 
 def _rand_class(rng, a_lo=-6, a_hi=12, b_lo=-6, b_hi=9):

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -217,6 +218,62 @@ def test_rendering_bytes_pinned(argv, fmt, capsys):
     assert run([*argv, "--format", fmt]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == RENDERING_SHA256[argv][fmt]
+
+
+# an oracle-h0 --stdin batch: the class at the matrix bound, multiplicities
+# above a, a single positive bi, tied bi, clamped negative bi, a < 0 and no
+# positive bi.  The sha256 of each format was taken before the oracle moved
+# the three heaviest points to the coordinate points.
+ORACLE_BATCH = (
+    "30;17,17,17,8,1,0\n2;5,0,0,0,0,0\n5;0,0,3,0,0,0\n12;4,4,4,4,2,2\n12;5,5,2,2,2,2\n"
+    "7;-1,3,-2,2,2,0\n10;1,2,3,4,0,5\n3;4,4,0,0,0,0\n6;7,7,7,1,0,0\n9;3,3,3,3,3,3\n"
+    "14;0,-2,6,0,-1,0\n3;1,1,1,1,1,1\n-2;1,1,0,0,0,0\n4;0,-1,0,0,0,0\n20;-3,9,9,4,-1,2\n"
+)
+ORACLE_BATCH_H0 = [18, 0, 15, 45, 49, 24, 31, 0, 0, 19, 99, 4, 0, 15, 128]
+ORACLE_BATCH_SHA256 = {
+    "json": "087aa9c41c2aec0129f82c7d5a6696acc7d378754cb18cea302cd43fc5db1696",
+    "csv": "26416ef66db8fb405c3d2502ba88e338ab6ec661224a847eff7ac92638a66e52",
+    "table": "61951b684bf5ea67c0e7affc118bf351efa527cc31a48e4e4754044280b07561",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(ORACLE_BATCH_SHA256))
+def test_oracle_h0_batch_bytes_pinned(fmt, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(ORACLE_BATCH))
+    assert run(["oracle-h0", "--stdin", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert [json.loads(ln)["h0"] for ln in out.splitlines()] == ORACLE_BATCH_H0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_BATCH_SHA256[fmt]
+
+
+@pytest.mark.parametrize("module", ["cubiccurves", "cubiccurves.cli"])
+def test_python_dash_m_matches_run(module, capsys, monkeypatch):
+    # python -m prints the bytes cli.run prints and exits with its code:
+    # 0 (also on --stdin), 1 (parse error) and 2 (oracle budget)
+    src = str(Path(cubiccurves.__file__).resolve().parent.parent)
+    cases = [
+        (["invariants", "12;4,4,4,4,2,2"], ""),
+        (["cohomology", "--stdin", "--format", "csv"], "12;4,4,4,4,2,2\n3;1,1,1,1,1,1\n"),
+        (["invariants", "12;4"], ""),
+        (["oracle-h0", "31;10,10,-1,0,0,0"], ""),
+    ]
+    codes = []
+    for argv, stdin in cases:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code = run(argv)
+        want = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            input=stdin,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.stdout, proc.stderr, proc.returncode) == (want.out, want.err, code), argv
+        codes.append(code)
+    assert codes == [0, 0, 1, 2]
 
 
 def test_cold_import_loads_no_thread_pool():

@@ -1,13 +1,17 @@
 """Interpolation oracle: exact and modular rank, point configurations, h0 agreement."""
 
+import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
 
 from cubiccurves import oracle
 from cubiccurves.cohomology import h0
-from cubiccurves.errors import OracleTooLarge, PreconditionError
+from cubiccurves.errors import DegeneratePoints, OracleTooLarge, PreconditionError
 from cubiccurves.lattice import DivisorClass, K
 from cubiccurves.oracle import (
     A_MAX,
@@ -15,8 +19,8 @@ from cubiccurves.oracle import (
     COORD_MAX,
     P,
     PointConfig,
-    _condition_rows,
     _general_position,
+    condition_rank,
     exact_rank,
     h0_interpolation,
     modular_rank,
@@ -24,6 +28,26 @@ from cubiccurves.oracle import (
 )
 
 D = DivisorClass.of
+
+
+def ref_condition_rows(a: int, mults, cfg: PointConfig):
+    """The exact integer condition matrix at the sampled points: the reference.
+
+    One row per partial derivative of order < m at each point of
+    multiplicity m, one column per monomial x^u y^v with u + v <= a.
+    """
+    mons = [(u, s - u) for s in range(a + 1) for u in range(s, -1, -1)]
+    rows = []
+    for (x, y), m in zip(cfg.points, mults):
+        for j in range(m):
+            for k in range(m - j):
+                rows.append(
+                    [
+                        math.perm(u, j) * math.perm(v, k) * x ** (u - j) * y ** (v - k) if u >= j and v >= k else 0
+                        for u, v in mons
+                    ]
+                )
+    return rows
 
 
 def ref_modular_rank(rows) -> int:
@@ -83,7 +107,7 @@ def test_modular_rank_on_condition_matrices():
                 b = [rng.randint(-1, a // 2) for _ in range(6)]
                 if cols - 1 <= sum(m * (m + 1) // 2 for m in b if m > 0) <= cols:
                     break
-            rows = _condition_rows(a, [max(m, 0) for m in b], point_config(rng.randrange(1 << 20)))
+            rows = ref_condition_rows(a, [max(m, 0) for m in b], point_config(rng.randrange(1 << 20)))
             rank = exact_rank(rows)
             assert modular_rank(rows) == ref_modular_rank(rows) == rank, (a, b)
             deficient += rank < min(len(rows), cols)
@@ -132,8 +156,8 @@ def test_modular_rank_edge_cases_against_reference():
 def test_modular_rank_slots_never_carry():
     # 300 rows independent mod P and 10 that are sums of two of them, all
     # entries in [P - 2^20, P).  The sums fall to zero mod P only at the last
-    # pivot, after 300 updates of up to (P-1)^2 per slot with no reduction in
-    # between, so slots sized from P alone, or from P^2 without the column
+    # pivot, after 300 updates of up to about P^2 per slot with no reduction
+    # in between, so slots sized from P alone, or from P^2 without the pivot
     # count, carry into their neighbours.  (The list-based reference also
     # reads 300 here, in about 4 s.)
     rng = random.Random(20)
@@ -151,6 +175,95 @@ def test_modular_rank_reads_entries_mod_p():
     # the rank mod P is never above the rank over Q, and falls below it
     # exactly when P divides every minor of the larger size
     assert modular_rank([[P, 1], [0, 1]]) == 1 < exact_rank([[P, 1], [0, 1]]) == 2
+
+
+def test_folds_keep_residues_and_bring_slots_below_2_62():
+    # slots at the top of each bound the elimination folds from (any slot
+    # below 2^W before scaling, below (P-1) * 2^62 after), with all 61 low
+    # bits set, and random ones: the residues survive, the slots end below
+    # 2^62 and none carries into its neighbour
+    rng = random.Random(62)
+    for nbytes in (16, 17, 24):
+        width = 8 * nbytes
+        low = oracle._pack([P] * 6, nbytes)
+        high = oracle._pack([(1 << (width - 61)) - 1] * 6, nbytes)
+        for bound in (1 << width, (P - 1) << 62):
+            top = bound - 1
+            slots = [top, top - (1 << 61), P, 0, rng.randrange(bound), rng.randrange(bound)]
+            row = oracle._pack(slots, nbytes)
+            for _ in range(oracle._folds(bound)):
+                row = oracle._fold(row, low, high)
+            raw = row.to_bytes(6 * nbytes, "little")
+            out = [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
+            assert all(x < 1 << 62 for x in out), (nbytes, bound)
+            assert [x % P for x in out] == [x % P for x in slots], (nbytes, bound)
+    assert oracle._folds((P - 1) << 62) == 2
+
+
+def test_condition_rank_matches_exact_reference():
+    # a <= 9 with multiplicities up to a + 3 (rows past the degree vanish),
+    # ties and zeros among them, at many seeds
+    rng = random.Random(909)
+    for _ in range(150):
+        a = rng.randint(0, 9)
+        mults = [max(rng.randint(-2, a + 3), 0) for _ in range(6)]
+        cfg = point_config(rng.randrange(1 << 20))
+        assert condition_rank(a, mults, cfg) == exact_rank(ref_condition_rows(a, mults, cfg)), (a, mults, cfg.seed)
+
+
+def test_condition_rank_matches_full_modular_rank():
+    # a = 10..14 against the elimination of all six points' rows mod P, on
+    # square, short and overdetermined condition matrices
+    rng = random.Random(1014)
+    for a in range(10, 15):
+        cols = (a + 1) * (a + 2) // 2
+        for lo, hi in ((cols - 1, cols), (cols // 2, cols - 2), (cols + 1, cols + 12)):
+            while True:
+                mults = [max(rng.randint(-1, a // 2 + 1), 0) for _ in range(6)]
+                if lo <= sum(m * (m + 1) // 2 for m in mults) <= hi:
+                    break
+            cfg = point_config(rng.randrange(1 << 20))
+            assert condition_rank(a, mults, cfg) == modular_rank(ref_condition_rows(a, mults, cfg)), (a, mults)
+
+
+def test_condition_rank_with_fewer_than_three_points():
+    cfg = point_config(4)
+    for a, mults in [
+        (5, (0, 0, 0, 0, 0, 0)),
+        (5, (0, 0, 0, 3, 0, 0)),
+        (2, (0, 5, 0, 0, 0, 0)),
+        (7, (0, 4, 0, 0, 0, 6)),
+        (6, (7, 0, 7, 0, 0, 0)),
+        (9, (0, 0, 0, 0, 10, 10)),
+    ]:
+        assert condition_rank(a, mults, cfg) == exact_rank(ref_condition_rows(a, mults, cfg)), (a, mults)
+
+
+def test_condition_rank_collinear_points_raise_under_O():
+    # the three heaviest points collinear (det M = 0), and a lighter point on
+    # the line through two of them (its image is at infinity); asserts would
+    # vanish under python -O, the DegeneratePoints checks do not
+    pts = ((1, 1), (2, 2), (3, 3), (5, 17), (11, 40), (23, 91))
+    for mults in ((3, 3, 3, 1, 1, 1), (3, 3, 1, 4, 1, 1)):
+        with pytest.raises(DegeneratePoints):
+            condition_rank(8, mults, PointConfig(0, pts))
+    src = str(Path(oracle.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from cubiccurves.errors import DegeneratePoints\n"
+        "from cubiccurves.oracle import PointConfig, condition_rank\n"
+        "pts = ((1, 1), (2, 2), (3, 3), (5, 17), (11, 40), (23, 91))\n"
+        "for mults in ((3, 3, 3, 1, 1, 1), (3, 3, 1, 4, 1, 1)):\n"
+        "    try:\n"
+        "        condition_rank(8, mults, PointConfig(0, pts))\n"
+        "    except DegeneratePoints as e:\n"
+        "        print(e)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "points [0, 1, 2] of seed 0 are collinear mod P\npoints [1, 0, 2] of seed 0 are collinear mod P\n"
+    )
 
 
 def test_point_config_deterministic():
@@ -202,9 +315,10 @@ def test_h0_budget():
 
 
 def test_h0_at_the_matrix_bound():
-    # no stub: three 496 x 496 eliminations, a few seconds
+    # no stub: 496 conditions on 496 monomials; the three points of
+    # multiplicity 17 become a count, and 37 rows are eliminated per seed
     c = D(30, 17, 17, 17, 8, 1, 0)
-    assert len(_condition_rows(30, c.b, point_config(0))) == 496
+    assert len(ref_condition_rows(30, c.b, point_config(0))) == 496
     assert h0_interpolation(c) == h0(c) == 18
 
 
@@ -212,13 +326,13 @@ def test_h0_budget_on_matrix_size(monkeypatch):
     # the condition matrix of (30; 17,17,17,8,1,b6) has 496 + b6 rows and 496
     # columns: at the bound for b6 = 0, one row past it for b6 = 1
     assert CELLS_MAX == 496 * 496
-    assert len(_condition_rows(30, (17, 17, 17, 8, 1, 1), point_config(0))) == 497
+    assert len(ref_condition_rows(30, (17, 17, 17, 8, 1, 1), point_config(0))) == 497
     monkeypatch.setattr(oracle, "_h0_at", lambda d, seed: 0)  # no elimination
     assert h0_interpolation(D(30, 17, 17, 17, 8, 1, 0)) == 0
     with pytest.raises(OracleTooLarge):
         h0_interpolation(D(30, 17, 17, 17, 8, 1, 1))
     with pytest.raises(OracleTooLarge):
-        h0_interpolation(D(30, 16, 16, 16, 16, 16, 16))  # 816 x 496, 38 s a call
+        h0_interpolation(D(30, 16, 16, 16, 16, 16, 16))  # 816 x 496
 
 
 def test_oracle_engine_agreement_small():
