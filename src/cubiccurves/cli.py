@@ -275,6 +275,8 @@ def _table_lines(payload: dict, indent: int = 0) -> list[str]:
 
 
 def _render_payloads(payloads: list[dict], fmt: str, batch: bool) -> str:
+    if not payloads:  # a --stdin batch of blank lines prints nothing in every format
+        return ""
     if fmt == "json":
         if batch:
             return "".join(json.dumps(p, separators=(",", ":")) + "\n" for p in payloads)

@@ -4,7 +4,8 @@ h0 is computed by fixed-component reduction: while some line pairs
 negatively with D, that line is a fixed component and can be subtracted
 without changing h0; the loop stops at a nef class N (where h0 = chi(N),
 since h1 = h2 = 0 for nef classes on a del Pezzo surface), at 0, or at a
-class of non-positive anticanonical degree (not effective, h0 = 0).  h2 is
+class that is not effective (h0 = 0) because it has non-positive
+anticanonical degree or pairs negatively with l or some l-ei.  h2 is
 h0(K - D) by Serre duality and h1 closes the Euler characteristic.  The
 stripping, chi and the h1 check run on plain integers (h0_ab, triple); the
 functions taking a DivisorClass are thin wrappers over them.
@@ -52,21 +53,28 @@ def _strip(a: int, b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
     negatively with l, so h0 is preserved throughout, and -K.D drops by at
     least 1 per pass, which bounds the loop.
 
-    First step, for a standard-ordered class (b1 >= ... >= b6, b3 >= 0,
-    a >= b1+b2+b3): its pairings are bi, a-bi-bj >= a-b1-b2 >= b3 >= 0 and
-    2a-sum(b)+bi >= 2a-(b1+...+b5) >= 0, so the only negative lines are the
-    ei with bi < 0, each taken -bi times.  One pass strips exactly those, and
-    the residue (a; max(bi, 0)) satisfies the same bounds, hence is nef.  The
-    loop would end there too: for D != 0, -K.D = -K.residue + sum(max(-bi, 0))
-    > 0, so its degree test never fires.  Every other class runs the loop.
+    Chamber first step.  Write x+ = max(x, 0).  For a sorted class
+    (b1 >= ... >= b6) with a >= b1+ + b2+ + b3+, the pairings are bi,
+    a-bi-bj >= a-b1+-b2+ >= 0 and 2a-sum(b)+bi >= 2a-(b1+ + ... + b5+) >= 0,
+    so the only negative lines are the ei with bi < 0, each taken -bi times.
+    One pass strips exactly those, and the residue (a; b+) meets the same
+    bounds with b6+ >= 0, hence is nef.  The loop would end there too: for
+    D != 0, -K.D = -K.residue + sum(max(-bi, 0)) > 0, so its degree test
+    never fires.
+
+    Pencil rejection.  l and l-ei are nef (base-point free: the net of
+    plane lines and the pencil of lines through pi), so an effective class
+    pairs with them to a >= 0 and a - bi >= 0.  The running class is effective
+    exactly when D is, so a < 0 or a < max(b) ends the loop with None.
     """
     b1, b2, b3, b4, b5, b6 = b
-    if b1 >= b2 >= b3 >= b4 >= b5 >= b6 and b3 >= 0 and a >= b1 + b2 + b3:
-        return a, b if b6 >= 0 else (b1, b2, b3, max(b4, 0), max(b5, 0), max(b6, 0))
+    # b1+ + b2+ + b3+ of a sorted b: b3 >= 0 makes all three their own positive parts
+    if b1 >= b2 >= b3 >= b4 >= b5 >= b6 and a >= (b1 + b2 + b3 if b3 >= 0 else max(b1, 0) + max(b2, 0)):
+        return a, b if b6 >= 0 else tuple([x if x > 0 else 0 for x in b])
     while True:
         if a == 0 and b == _ZERO_B:
             return a, b
-        if 3 * a - sum(b) <= 0:
+        if a < 0 or a < max(b) or 3 * a - sum(b) <= 0:
             return None
         mu = line_pairings(a, b)
         if min(mu) >= 0:

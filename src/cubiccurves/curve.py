@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import CohomologyTriple, cohomology, h0_ab, triple
+from .cohomology import CohomologyTriple, cohomology, h0_ab
 from .errors import InvariantViolation, NonPositiveDegree, NotSmoothMember
 from .lattice import K, DivisorClass, line_pairings, reduce_to_standard
 
@@ -90,15 +90,21 @@ def _standard_facts(std: DivisorClass, d: int, g: int) -> CurveFacts:
     of degree d and genus g.
 
     The twists run on the coefficients: -(C + nK) = (3n - a; n - b1, ..., n - b6)
-    has degree 3n - d, so its h0 is 0 without stripping when d > 3n, and
-    C + (n+1)K = (a - 3n - 3; b1 - n - 1, ..., b6 - n - 1).
+    and C + (n+1)K = (a - 3n - 3; b1 - n - 1, ..., b6 - n - 1), whose h0 is
+    the twist's h2.  The chi of -(C + nK) comes from (d, g) instead of the six
+    coefficients: with C.C = 2g - 2 + d, K.C = -d and K.K = 3, Riemann-Roch
+    gives chi(-(C + nK)) = (C + nK).(C + (n+1)K)/2 + 1 = g - nd + 3n(n+1)/2.
+    -(C + nK) has degree 3n - d, so when d > 3n its h0 is 0 without stripping.
     """
     a, b = std.a, std.b
     twists = []
     for n in (1, 2, 3):
-        ta, tb = 3 * n - a, tuple([n - x for x in b])
+        chi = g - n * d + 3 * n * (n + 1) // 2
+        h0 = 0 if d > 3 * n else h0_ab(3 * n - a, tuple([n - x for x in b]))
         h2 = h0_ab(a - 3 * n - 3, tuple([x - n - 1 for x in b]))
-        twists.append(triple(ta, tb, 0 if d > 3 * n else h0_ab(ta, tb), h2))
+        if h0 + h2 < chi:
+            raise InvariantViolation(f"negative h1 for {-(std + n * K)}")
+        twists.append(CohomologyTriple(h0, h0 + h2 - chi, h2, chi))
     t1, t2, t3 = twists
     return CurveFacts(
         standard=std,

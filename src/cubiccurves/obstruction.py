@@ -51,6 +51,16 @@ class ObstructionVerdict:
     witnesses: tuple[tuple[DivisorClass, int, str], ...] = ()
 
 
+# The verdicts that carry no data of their own are shared, not rebuilt per class.
+_UNOBSTRUCTED_H1 = ObstructionVerdict(kind="Unobstructed", vanishing=("h1",))
+_UNOBSTRUCTED_H2 = ObstructionVerdict(kind="Unobstructed", vanishing=("h2",))
+_UNOBSTRUCTED_H1_H2 = ObstructionVerdict(kind="Unobstructed", vanishing=("h1", "h2"))
+_UNDETERMINED = ObstructionVerdict(
+    kind="Undetermined",
+    reason="every line with -L.E > 0 has m in {2,3} and a non-surjective restriction",
+)
+
+
 def classify(c: DivisorClass) -> ObstructionVerdict:
     """Unobstructed / Obstructed / Undetermined at [C] in the Hilbert scheme.
 
@@ -66,9 +76,10 @@ def classify(c: DivisorClass) -> ObstructionVerdict:
 
 def verdict_of(facts: CurveFacts) -> ObstructionVerdict:
     """The classify verdict of the class behind facts."""
-    vanishing = tuple(name for name, v in (("h1", facts.defects[2]), ("h2", facts.h2)) if v == 0)
-    if vanishing:
-        return ObstructionVerdict(kind="Unobstructed", vanishing=vanishing)
+    if facts.defects[2] == 0:
+        return _UNOBSTRUCTED_H1_H2 if facts.h2 == 0 else _UNOBSTRUCTED_H1
+    if facts.h2 == 0:
+        return _UNOBSTRUCTED_H2
     # With h1 and h2 both nonzero, L+K is effective (h0(L+K) = h2 > 0) and
     # L is not nef.
     if min(facts.pairings) >= 0:
@@ -91,10 +102,7 @@ def verdict_of(facts: CurveFacts) -> ObstructionVerdict:
         return ObstructionVerdict(
             kind="Obstructed", witness_line=e, m=m, rule=rule, witnesses=tuple(witnesses)
         )
-    return ObstructionVerdict(
-        kind="Undetermined",
-        reason="every line with -L.E > 0 has m in {2,3} and a non-surjective restriction",
-    )
+    return _UNDETERMINED
 
 
 def h1_normal(c: DivisorClass) -> int:
@@ -191,6 +199,16 @@ class KleppeVerdict:
     range_tag: str | None = None
 
 
+# Every Kleppe verdict but ProvenTheorem1 carries no number, so it is shared too.
+_NOT_APPLICABLE_D = KleppeVerdict(kind="NotApplicable", failed_hypothesis="d<=9")
+_NOT_APPLICABLE_G = KleppeVerdict(kind="NotApplicable", failed_hypothesis="g<3d-18")
+_NOT_APPLICABLE_H1_IC1 = KleppeVerdict(kind="NotApplicable", failed_hypothesis="not-linearly-normal")
+_NOT_APPLICABLE_H1_IC3 = KleppeVerdict(kind="NotApplicable", failed_hypothesis="h1_ic3=0")
+_KNOWN_RANGE_D14_17 = KleppeVerdict(kind="KnownRange", range_tag="d14-17")
+_KNOWN_RANGE_D18 = KleppeVerdict(kind="KnownRange", range_tag="d18+")
+_OPEN = KleppeVerdict(kind="Open")
+
+
 def kleppe_verdict(c: DivisorClass) -> KleppeVerdict:
     """Status of the maximal-family question for the class.
 
@@ -207,20 +225,20 @@ def kleppe_of(facts: CurveFacts) -> KleppeVerdict:
     """The kleppe_verdict of the class behind facts."""
     d, g = facts.d, facts.g
     if d <= 9:
-        return KleppeVerdict(kind="NotApplicable", failed_hypothesis="d<=9")
+        return _NOT_APPLICABLE_D
     if g < 3 * d - 18:
-        return KleppeVerdict(kind="NotApplicable", failed_hypothesis="g<3d-18")
+        return _NOT_APPLICABLE_G
     if facts.defects[0] != 0:
-        return KleppeVerdict(kind="NotApplicable", failed_hypothesis="not-linearly-normal")
+        return _NOT_APPLICABLE_H1_IC1
     if facts.defects[2] == 0:
-        return KleppeVerdict(kind="NotApplicable", failed_hypothesis="h1_ic3=0")
+        return _NOT_APPLICABLE_H1_IC3
     if facts.defects[1] == 0:
         return KleppeVerdict(kind="ProvenTheorem1", dim=d + g + 18)
     if 14 <= d <= 17 and 8 * (g + 1) > d * d - 4:
-        return KleppeVerdict(kind="KnownRange", range_tag="d14-17")
+        return _KNOWN_RANGE_D14_17
     if d >= 18 and 8 * (g - 7) > (d - 2) ** 2:
-        return KleppeVerdict(kind="KnownRange", range_tag="d18+")
-    return KleppeVerdict(kind="Open")
+        return _KNOWN_RANGE_D18
+    return _OPEN
 
 
 def gen_obstructed(k: int, dprime: tuple[int, int, int, int, int, int] = (0, 0, 0, 0, 0, 0)) -> DivisorClass:

@@ -126,6 +126,14 @@ def test_stdin_batch_csv(capsys, monkeypatch):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+@pytest.mark.parametrize("stdin", ["", "\n", "  \n\n"])
+def test_empty_stdin_batch_prints_nothing(fmt, stdin, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run(["cohomology", "--stdin", "--format", fmt]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_stdin_conflicts_with_class(capsys):
     assert run(["invariants", "12;4,4,4,4,2,2", "--stdin"]) == 1
 

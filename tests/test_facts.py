@@ -3,19 +3,23 @@
 The census builds each record from a single curve_facts pass; every field
 must equal what abnormality, h0, classify, hilbert_dim and kleppe_verdict
 return on their own, for every family with d in 10..16 and for a W(E6)-moved
-copy of each.
+copy of each.  The twist chi taken from (d, g) is checked against
+Riemann-Roch on the coefficients, and the shared verdict constants against
+freshly built verdicts.
 """
 
 import random
 
 import pytest
 
+from cubiccurves import obstruction
 from cubiccurves.census import _record, census_range
-from cubiccurves.cohomology import h0
-from cubiccurves.curve import abnormality, curve_facts, hodge_genus_bound, invariants
+from cubiccurves.cli import run
+from cubiccurves.cohomology import _chi, cohomology, h0, h0_ab, triple
+from cubiccurves.curve import _standard_facts, abnormality, curve_facts, hodge_genus_bound, invariants
 from cubiccurves.errors import NotSmoothMember
 from cubiccurves.lattice import Cremona, DivisorClass, K, Perm, apply_word, lines27
-from cubiccurves.obstruction import classify, hilbert_dim, kleppe_verdict
+from cubiccurves.obstruction import KleppeVerdict, ObstructionVerdict, classify, hilbert_dim, kleppe_verdict
 
 FAMILIES = census_range(10, 16, 0, hodge_genus_bound(16))[0]
 
@@ -76,5 +80,54 @@ def test_negative_degree_twist_shortcut_is_strict():
         f = curve_facts(-n * K)
         assert f.d == 3 * n
         assert f.twists[n - 1].h0 == h0(DivisorClass.of(0, 0, 0, 0, 0, 0, 0)) == 1
+    # (3; 1,0,0,0,0,0) has d = 8, so its n = 3 twist has d <= 3n; the last
+    # class has d > 3n for every n
+    for c in (*(-n * K for n in (1, 2, 3)), DivisorClass.of(3, 1, 0, 0, 0, 0, 0),
+              DivisorClass.of(12, 4, 4, 4, 4, 2, 2)):
+        f = curve_facts(c)
         for m, t in enumerate(f.twists, start=1):
-            assert t.h0 == h0(-(f.standard + m * K))
+            assert t == cohomology(-(f.standard + m * K))
+
+
+def test_closed_form_twists_match_riemann_roch_on_census_d10_30():
+    # the twist -(C+nK) takes chi = g - nd + 3n(n+1)/2 from (d, g), and h0 = 0
+    # for d > 3n; it must equal Riemann-Roch on the coefficients and the
+    # triple built from both h0 values
+    records, _ = census_range(10, 30, 0, hodge_genus_bound(30))
+    assert len(records) == 6528
+    for r in records:
+        facts = _standard_facts(r.cls, r.d, r.g)
+        a, b = r.cls.a, r.cls.b
+        for n, t in enumerate(facts.twists, start=1):
+            assert r.d > 3 * n
+            ta, tb = 3 * n - a, tuple(n - x for x in b)
+            assert t.chi == _chi(ta, tb) == r.g - n * r.d + 3 * n * (n + 1) // 2
+            assert t == triple(ta, tb, h0_ab(ta, tb), h0_ab(a - 3 * n - 3, tuple(x - n - 1 for x in b)))
+
+
+def test_normality_of_a_small_class_pinned(capsys):
+    # taken before twist chi moved to (d, g); its n = 3 twist has d <= 3n
+    assert run(["normality", "3;1,0,0,0,0,0", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (
+        "class,standard,d,g,abnormality.1,abnormality.2,abnormality.3,s_invariant,s_note\n"
+        '"3;1,0,0,0,0,0","3;1,0,0,0,0,0",8,1,4,6,5,3,curve lies on the cubic\n'
+    )
+
+
+def test_verdict_constants_equal_fresh_verdicts():
+    reason = "every line with -L.E > 0 has m in {2,3} and a non-surjective restriction"
+    fresh = {
+        "_UNOBSTRUCTED_H1": ObstructionVerdict(kind="Unobstructed", vanishing=("h1",)),
+        "_UNOBSTRUCTED_H2": ObstructionVerdict(kind="Unobstructed", vanishing=("h2",)),
+        "_UNOBSTRUCTED_H1_H2": ObstructionVerdict(kind="Unobstructed", vanishing=("h1", "h2")),
+        "_UNDETERMINED": ObstructionVerdict(kind="Undetermined", reason=reason),
+        "_NOT_APPLICABLE_D": KleppeVerdict(kind="NotApplicable", failed_hypothesis="d<=9"),
+        "_NOT_APPLICABLE_G": KleppeVerdict(kind="NotApplicable", failed_hypothesis="g<3d-18"),
+        "_NOT_APPLICABLE_H1_IC1": KleppeVerdict(kind="NotApplicable", failed_hypothesis="not-linearly-normal"),
+        "_NOT_APPLICABLE_H1_IC3": KleppeVerdict(kind="NotApplicable", failed_hypothesis="h1_ic3=0"),
+        "_KNOWN_RANGE_D14_17": KleppeVerdict(kind="KnownRange", range_tag="d14-17"),
+        "_KNOWN_RANGE_D18": KleppeVerdict(kind="KnownRange", range_tag="d18+"),
+        "_OPEN": KleppeVerdict(kind="Open"),
+    }
+    for name, verdict in fresh.items():
+        assert getattr(obstruction, name) == verdict, name

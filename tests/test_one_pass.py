@@ -1,15 +1,19 @@
-"""The one-pass strip of standard-ordered classes against the stripping loop.
+"""The closed-form steps of _strip against the plain stripping loop.
 
-ref_strip is _strip as it was before its one-pass first step: per pass,
-subtract every line l with D.l < 0, -D.l times, until the class is 0, has
-non-positive degree (not effective) or is nef.  The one-pass step claims that
-for b1 >= ... >= b6, b3 >= 0 and a >= b1+b2+b3 this loop ends after at most
-one pass at (a; max(bi, 0)); the engine's h0 must equal the loop's on such
-classes and on every h0 argument the census d 10..30 produces.
+ref_strip is _strip without its shortcuts: per pass, subtract every line l
+with D.l < 0, -D.l times, until the class is 0, has non-positive degree (not
+effective) or is nef.  _strip adds two closed forms.  The chamber step
+claims that for b1 >= ... >= b6 and a >= b1+ + b2+ + b3+ (x+ = max(x, 0))
+this loop ends after at most one pass at (a; b+).  The pencil step claims
+that a class with a < 0 or a < max(b) is not effective, because it pairs
+negatively with l or some l-ei.  _strip must equal the loop on such classes,
+on random classes and on every h0 argument the census d 10..30 produces.
 """
 
 import random
+import sys
 
+import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from cubiccurves.cohomology import _chi, _strip, h0_ab
@@ -44,12 +48,16 @@ def ref_h0(a, b):
     return 0 if nef is None else _chi(*nef)
 
 
-def is_standard_ordered(a, b):
-    return all(b[i] >= b[i + 1] for i in range(5)) and b[2] >= 0 and a >= b[0] + b[1] + b[2]
+def in_chamber(a, b):
+    return all(b[i] >= b[i + 1] for i in range(5)) and a >= sum(max(x, 0) for x in b[:3])
+
+
+def pencil_rejects(a, b):
+    return a < 0 or a < max(b)
 
 
 def _check(a, b):
-    assert is_standard_ordered(a, b)
+    assert in_chamber(a, b)
     got = _strip(a, b)
     assert got == ref_strip(a, b)
     assert got == (a, tuple(max(x, 0) for x in b))
@@ -91,6 +99,77 @@ def test_one_pass_matches_loop_on_random_sorted_classes():
         _check(b[0] + b[1] + b[2] + rng.randint(0, 30), tuple(b))
 
 
+# any sorted b, negative entries anywhere (b3 < 0 included), and
+# a = b1+ + b2+ + b3+ + slack
+chamber = st.builds(
+    lambda b, slack: (sum(max(x, 0) for x in b[:3]) + slack, b),
+    st.lists(st.integers(-60, 60), min_size=6, max_size=6).map(lambda b: tuple(sorted(b, reverse=True))),
+    st.integers(0, 60),
+)
+
+
+@seed(62)
+@settings(max_examples=1000, deadline=None)
+@given(chamber)
+@example((0, (-1, -1, -1, -1, -1, -1)))
+@example((0, (0, 0, -1, -1, -2, -7)))
+@example((1, (1, -1, -1, -1, -1, -1)))
+@example((2, (1, 1, -3, -3, -3, -3)))
+@example((3, (2, 1, 0, -4, -4, -4)))
+def test_chamber_step_matches_loop_with_negative_b3(ab):
+    _check(*ab)
+
+
+# a class below a pencil bound: a < 0, or a < max(b) with b in any order
+below_pencil = st.one_of(
+    st.builds(
+        lambda b, gap: (max(b) - gap, b),
+        st.tuples(*[st.integers(-30, 30)] * 6),
+        st.integers(1, 20),
+    ),
+    st.builds(lambda a, b: (a, b), st.integers(-40, -1), st.tuples(*[st.integers(-40, 40)] * 6)),
+)
+
+
+@seed(63)
+@settings(max_examples=1000, deadline=None)
+@given(below_pencil)
+@example((-1, (-1, -1, -1, -1, -1, -1)))
+@example((-1, (-3, -3, -3, -3, -3, -3)))
+@example((0, (0, 1, 0, 0, 0, 0)))
+@example((1, (0, 0, 0, 2, 0, 0)))
+def test_pencil_step_rejects_like_loop(ab):
+    a, b = ab
+    assert pencil_rejects(a, b)
+    assert _strip(a, b) is None
+    assert ref_strip(a, b) is None
+
+
+# effective classes with a = max(b) that enter the loop: l - e2 (h0 = 2),
+# 2l - 2e2 - e3 - e4 (h0 = 1) and 5l - 5e2 - e3 - ... - e6 (h0 = 2)
+@example((1, (0, 1, 0, 0, 0, 0)))
+@example((2, (0, 2, 1, 1, 0, 0)))
+@example((5, (0, 5, 1, 1, 1, 1)))
+@seed(64)
+@settings(max_examples=1000, deadline=None)
+@given(st.builds(lambda b, d: (max(b) + d, b), st.tuples(*[st.integers(-20, 20)] * 6), st.integers(-3, 3)))
+def test_strip_matches_loop_at_the_pencil_bound(ab):
+    a, b = ab
+    assert _strip(a, b) == ref_strip(a, b)
+
+
+def test_strip_matches_loop_on_seeded_random_classes():
+    for s in range(4):
+        rng = random.Random(300 + s)
+        r = (4, 12, 30, 90)[s]
+        for _ in range(5_000):
+            a = rng.randint(-r, 3 * r)
+            b = tuple(rng.randint(-r, r) for _ in range(6))
+            if rng.random() < 0.3:
+                b = tuple(sorted(b, reverse=True))
+            assert _strip(a, b) == ref_strip(a, b), (a, b)
+
+
 def _census_h0_arguments(records):
     """Every class whose h0 a census record reads: the twists -(C+nK) and
     C+(n+1)K for n = 1, 2, 3, and Delta = C+4K-2mE and Delta-E for each line
@@ -110,13 +189,48 @@ def _census_h0_arguments(records):
     return out
 
 
-def test_h0_matches_loop_on_every_census_d10_30_argument():
+@pytest.fixture(scope="module")
+def census_d10_30_arguments():
     records, _ = census_range(10, 30, 0, hodge_genus_bound(30))
     assert len(records) == 6528
-    args = _census_h0_arguments(records)
-    one_pass = [ab for ab in args if is_standard_ordered(*ab)]
+    return _census_h0_arguments(records)
+
+
+def test_h0_matches_loop_on_every_census_d10_30_argument(census_d10_30_arguments):
+    args = census_d10_30_arguments
+    one_pass = [ab for ab in args if in_chamber(*ab)]
     # both branches are exercised, and the one pass does strip lines
     assert len(one_pass) > 1000 and len(args) - len(one_pass) > 1000
     assert any(min(b) < 0 for _, b in one_pass)
     for a, b in args:
+        assert _strip(a, b) == ref_strip(a, b), (a, b)
         assert h0_ab(a, b) == ref_h0(a, b), (a, b)
+
+
+def test_only_arguments_outside_both_closed_forms_enter_the_loop(census_d10_30_arguments, monkeypatch):
+    # every pass of the loop calls line_pairings once; the closed forms call it never
+    passes = [0]
+
+    def counted(a, b):
+        passes[0] += 1
+        return line_pairings(a, b)
+
+    monkeypatch.setattr(sys.modules["cubiccurves.cohomology"], "line_pairings", counted)
+    looped = chamber = pencil = 0
+    for a, b in census_d10_30_arguments:
+        passes[0] = 0
+        _strip(a, b)
+        if passes[0]:
+            # an argument that still enters the loop is unsorted or sorted
+            # with a < b1+ + b2+ + b3+, and pairs >= 0 with l and every l-ei
+            assert not in_chamber(a, b) and not pencil_rejects(a, b), (a, b)
+            looped += 1
+        elif in_chamber(a, b):
+            chamber += 1
+        elif pencil_rejects(a, b):
+            pencil += 1
+    # the closed forms settle most census arguments (41,826 distinct: 8,959
+    # in the chamber, 27,818 below a pencil, 4,968 looping), with negative
+    # b3 among the chamber ones
+    assert chamber > looped and pencil > looped and chamber + pencil > 5 * looped
+    assert any(in_chamber(a, b) and b[2] < 0 for a, b in census_d10_30_arguments)
