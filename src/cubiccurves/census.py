@@ -6,8 +6,7 @@ pinned to 3a - d and a is confined to [ceil(d/3), d], so enumeration is a
 bounded partition walk, and its classes need no reduction.  Census records
 are pure functions of the class, each built from one CurveFacts pass on
 plain integers, and come out in a fixed (d, g, class) order.  The census
-runs in one thread; a thread count is accepted and ignored, because a
-thread pool made the census no faster.
+runs in one thread, because a thread pool made it no faster.
 """
 
 from __future__ import annotations
@@ -127,16 +126,13 @@ def _record_of(cls: DivisorClass, facts: CurveFacts) -> CensusRecord:
     )
 
 
-def census_range(
-    d_min: int, d_max: int, g_min: int, g_max: int, threads: int = 1
-) -> tuple[tuple[CensusRecord, ...], dict[str, int]]:
+def census_range(d_min: int, d_max: int, g_min: int, g_max: int) -> tuple[tuple[CensusRecord, ...], dict[str, int]]:
     """Records for every family with d in [d_min, d_max], g in [g_min, g_max].
 
     g cells beyond the Hodge bound of their degree are skipped entirely;
     the summary counts only cells within the bound.  Each record comes from
     a single facts pass over its enumerated class, which is standard already
-    and is not reduced again (see _enumerated_record).  The census runs in
-    the calling thread; threads is accepted and ignored.
+    and is not reduced again (see _enumerated_record).
     """
     if d_min <= 9:
         raise DegreeTooSmall(f"census needs d_min > 9, got {d_min}")

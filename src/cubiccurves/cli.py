@@ -3,7 +3,8 @@
 Classes are written "a;b1,b2,b3,b4,b5,b6".  Output formats: table (default),
 json (byte-stable field order), csv.  Exit codes: 0 success, 1 usage or
 parse error, 2 precondition failure (invalid class for the operation),
-3 internal assertion failure.
+3 internal assertion failure.  Each subcommand is registered once, in
+_build_parser, with the runner that maps its parsed arguments to (text, code).
 """
 
 from __future__ import annotations
@@ -26,12 +27,6 @@ from .lattice import Cremona, DivisorClass, Perm, reduce_to_standard
 from .obstruction import ObstructionVerdict, dim_of, gen_obstructed, kleppe_of, verdict_of
 from .oracle import h0_interpolation
 from .verify import run_checks
-
-VISIBLE_COMMANDS = (
-    "reduce,invariants,cohomology,normality,classify,hilbert-dim,kleppe,"
-    "census,gen-obstructed,verify-paper"
-)
-
 
 class ClassParseError(Exception):
     def __init__(self, text: str, pos: int, message: str):
@@ -193,18 +188,15 @@ def _cmd_kleppe(cls: DivisorClass) -> dict:
     }
 
 
-def _cmd_oracle(cls: DivisorClass, seed: int) -> dict:
-    return {"class": str(cls), "seed": seed, "h0": h0_interpolation(cls, seed)}
-
-
+# name -> (payload builder, help); each takes one class and returns its payload
 CLASS_COMMANDS = {
-    "reduce": _cmd_reduce,
-    "invariants": _cmd_invariants,
-    "cohomology": _cmd_cohomology,
-    "normality": _cmd_normality,
-    "classify": _cmd_classify,
-    "hilbert-dim": _cmd_hilbert_dim,
-    "kleppe": _cmd_kleppe,
+    "reduce": (_cmd_reduce, "standard form and the reducing word"),
+    "invariants": (_cmd_invariants, "degree, genus, smooth-member test"),
+    "cohomology": (_cmd_cohomology, "h0, h1, h2 and chi of a class"),
+    "normality": (_cmd_normality, "n-normality defects and the s-invariant"),
+    "classify": (_cmd_classify, "Unobstructed / Obstructed / Undetermined verdict"),
+    "hilbert-dim": (_cmd_hilbert_dim, "local dimension of the Hilbert scheme at [C]"),
+    "kleppe": (_cmd_kleppe, "maximal-family status of the class"),
 }
 
 
@@ -298,17 +290,18 @@ def _aligned_table(header: list[str], rows) -> str:
     return "\n".join([fmt_row(header)] + [fmt_row(r) for r in rows]) + "\n"
 
 
-def _render_report(fmt: str, doc: dict, header: list[str], rows, tail: str) -> str:
-    """A whole-run report (census, verify-paper): doc as indented JSON, header
-    and rows as CSV, or header and rows as an aligned table followed by tail."""
+def _render_report(fmt: str, doc, header: list[str], rows, tail: str) -> str:
+    """A whole-run report (census, verify-paper): doc() as indented JSON, header
+    and rows as CSV, or header and rows as an aligned table followed by tail.
+    doc is called only for JSON."""
     if fmt == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc(), indent=2) + "\n"
     if fmt == "csv":
         return _csv_rows([header, *rows])
     return _aligned_table(header, rows) + tail
 
 
-# --- top-level dispatch -----------------------------------------------------
+# --- command runners: parsed arguments -> (output text, exit code) ----------
 
 
 def _class_inputs(args) -> list[DivisorClass]:
@@ -322,67 +315,61 @@ def _class_inputs(args) -> list[DivisorClass]:
     return [parse_class(args.cls)]
 
 
-def _dispatch(args) -> tuple[str, int]:
-    fmt = args.format
-    if args.command == "oracle-h0":
-        cmd = partial(_cmd_oracle, seed=args.seed)
-    else:
-        cmd = CLASS_COMMANDS.get(args.command)
-    if cmd is not None:
-        payloads = [cmd(c) for c in _class_inputs(args)]
-        return _render_payloads(payloads, fmt, batch=args.stdin), 0
+def _run_class(args, build) -> tuple[str, int]:
+    payloads = [build(c) for c in _class_inputs(args)]
+    return _render_payloads(payloads, args.format, batch=args.stdin), 0
 
-    if args.command == "gen-obstructed":
-        a, b = parse_class_text(args.dprime, 5)
-        cls = gen_obstructed(args.k, (a, *b))
-        facts = curve_facts(cls)
-        payload = {
-            "k": args.k,
-            "dprime": args.dprime,
-            "class": str(cls),
-            "d": facts.d,
-            "g": facts.g,
-            "verdict": _verdict_json(verdict_of(facts)),
-        }
-        return _render_payloads([payload], fmt, batch=False), 0
 
-    if args.command == "census":
-        records, summary = census_range(args.d_min, args.d_max, args.g_min, args.g_max)
-        if fmt == "csv":
-            return census_csv(records), 0
-        doc = {
-            "params": {
-                "d_min": args.d_min,
-                "d_max": args.d_max,
-                "g_min": args.g_min,
-                "g_max": args.g_max,
-            },
-            "summary": summary,
-            "records": [_record_json(r) for r in records],
-        }
-        tail = f"\ncells: {summary['cells']}  empty: {summary['empty_cells']}  records: {summary['records']}\n"
-        return _render_report(fmt, doc, CSV_COLUMNS.split(","), census_rows(records), tail), 0
+def _oracle_h0(args) -> tuple[str, int]:
+    return _run_class(args, lambda cls: {"class": str(cls), "seed": args.seed, "h0": h0_interpolation(cls, args.seed)})
 
-    if args.command == "verify-paper":
-        checks = run_checks()
-        counts = {
-            "passed": sum(c.status == "PASS" for c in checks),
-            "failed": sum(c.status == "FAIL" for c in checks),
-            "flagged": sum(c.status == "FLAGGED" for c in checks),
-        }
-        code = 0 if counts["failed"] == 0 else 1
-        doc = {"checks": [asdict(c) for c in checks], **counts}
-        # the table has always titled its first column "check"
-        header = ["check_id" if fmt == "csv" else "check", "status", "detail"]
-        tail = f"\n{len(checks)} checks: {counts['passed']} passed, {counts['failed']} failed, {counts['flagged']} flagged\n"
-        return _render_report(fmt, doc, header, [astuple(c) for c in checks], tail), code
 
-    raise _UsageError("error: no command given (see --help)")
+def _gen_obstructed(args) -> tuple[str, int]:
+    a, b = parse_class_text(args.dprime, 5)
+    cls = gen_obstructed(args.k, (a, *b))
+    facts = curve_facts(cls)
+    payload = {
+        "k": args.k,
+        "dprime": args.dprime,
+        "class": str(cls),
+        "d": facts.d,
+        "g": facts.g,
+        "verdict": _verdict_json(verdict_of(facts)),
+    }
+    return _render_payloads([payload], args.format, batch=False), 0
+
+
+def _census(args) -> tuple[str, int]:
+    records, summary = census_range(args.d_min, args.d_max, args.g_min, args.g_max)
+    if args.format == "csv":
+        return census_csv(records), 0
+
+    def doc():
+        params = {"d_min": args.d_min, "d_max": args.d_max, "g_min": args.g_min, "g_max": args.g_max}
+        return {"params": params, "summary": summary, "records": [_record_json(r) for r in records]}
+
+    tail = f"\ncells: {summary['cells']}  empty: {summary['empty_cells']}  records: {summary['records']}\n"
+    return _render_report(args.format, doc, CSV_COLUMNS.split(","), census_rows(records), tail), 0
+
+
+def _verify_paper(args) -> tuple[str, int]:
+    checks = run_checks()
+    counts = {
+        "passed": sum(c.status == "PASS" for c in checks),
+        "failed": sum(c.status == "FAIL" for c in checks),
+        "flagged": sum(c.status == "FLAGGED" for c in checks),
+    }
+    # the table has always titled its first column "check"
+    header = ["check_id" if args.format == "csv" else "check", "status", "detail"]
+    tail = f"\n{len(checks)} checks: {counts['passed']} passed, {counts['failed']} failed, {counts['flagged']} flagged\n"
+    text = _render_report(args.format, lambda: {"checks": [asdict(c) for c in checks], **counts},
+                          header, [astuple(c) for c in checks], tail)
+    return text, 0 if counts["failed"] == 0 else 1
 
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="cubiccurves", description=__doc__.strip().splitlines()[0])
-    sub = p.add_subparsers(dest="command", metavar=f"{{{VISIBLE_COMMANDS}}}", parser_class=_Parser)
+    sub = p.add_subparsers(parser_class=_Parser)
 
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("table", "json", "csv"), default="table")
@@ -392,17 +379,8 @@ def _build_parser() -> _Parser:
     classarg.add_argument("cls", metavar="CLASS", nargs="?", help='divisor class "a;b1,b2,b3,b4,b5,b6"')
     classarg.add_argument("--stdin", action="store_true", help="read one class per line from stdin")
 
-    helps = {
-        "reduce": "standard form and the reducing word",
-        "invariants": "degree, genus, smooth-member test",
-        "cohomology": "h0, h1, h2 and chi of a class",
-        "normality": "n-normality defects and the s-invariant",
-        "classify": "Unobstructed / Obstructed / Undetermined verdict",
-        "hilbert-dim": "local dimension of the Hilbert scheme at [C]",
-        "kleppe": "maximal-family status of the class",
-    }
-    for name, h in helps.items():
-        sub.add_parser(name, parents=[common, classarg], help=h)
+    for name, (build, h) in CLASS_COMMANDS.items():
+        sub.add_parser(name, parents=[common, classarg], help=h).set_defaults(run=partial(_run_class, build=build))
 
     sp = sub.add_parser("census", parents=[common], help="sweep families over (d, g) ranges")
     sp.add_argument("--d-min", type=int, required=True)
@@ -410,15 +388,20 @@ def _build_parser() -> _Parser:
     sp.add_argument("--g-min", type=int, required=True)
     sp.add_argument("--g-max", type=int, required=True)
     sp.add_argument("--threads", type=int, default=1, help="accepted and ignored: the census runs in one thread")
+    sp.set_defaults(run=_census)
 
     sp = sub.add_parser("gen-obstructed", parents=[common], help="build an obstructed class from (k, seed class)")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--dprime", default="0;0,0,0,0,0", metavar="CLASS5", help='seed "a;b1,b2,b3,b4,b5"')
+    sp.set_defaults(run=_gen_obstructed)
 
-    sub.add_parser("verify-paper", parents=[common], help="run the built-in worked-example checks")
+    sub.add_parser("verify-paper", parents=[common], help="run the built-in worked-example checks").set_defaults(run=_verify_paper)
+    # the usage line lists the commands above; oracle-h0, a debugging aid, stays hidden
+    sub.metavar = "{" + ",".join(sub.choices) + "}"
 
-    sp = sub.add_parser("oracle-h0", parents=[common, classarg])  # debugging aid, hidden
+    sp = sub.add_parser("oracle-h0", parents=[common, classarg])
     sp.add_argument("--seed", type=int, default=0)
+    sp.set_defaults(run=_oracle_h0)
     return p
 
 
@@ -439,11 +422,11 @@ def run(argv=None) -> int:
         return 1
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    if args.command is None:
+    if "run" not in args:  # no command given
         print(parser.format_usage(), file=sys.stderr, end="")
         return 1
     try:
-        text, code = _dispatch(args)
+        text, code = args.run(args)
     except ClassParseError as e:
         print(e.render(), file=sys.stderr)
         return 1
@@ -456,9 +439,13 @@ def run(argv=None) -> int:
     except (AssertionError, DegeneratePoints) as e:
         print(f"internal error: {e!r}", file=sys.stderr)
         return 3
-    sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as e:
+            print(f"error: cannot write {args.out}: {e.strerror or e}", file=sys.stderr)
+            return 1
+    sys.stdout.write(text)
     return code
 
 

@@ -7,8 +7,8 @@ since h1 = h2 = 0 for nef classes on a del Pezzo surface), at 0, or at a
 class that is not effective (h0 = 0) because it has non-positive
 anticanonical degree or pairs negatively with l or some l-ei.  h2 is
 h0(K - D) by Serre duality and h1 closes the Euler characteristic.  The
-stripping, chi and the h1 check run on plain integers (h0_ab, triple); the
-functions taking a DivisorClass are thin wrappers over them.
+stripping and chi run on plain integers (h0_ab, _chi); the functions
+taking a DivisorClass are thin wrappers over them.
 
 The engine never consults the interpolation oracle; the oracle module
 validates h0 independently.
@@ -118,21 +118,13 @@ class CohomologyTriple:
     chi: int
 
 
-def triple(a: int, b: tuple[int, ...], n0: int, n2: int) -> CohomologyTriple:
-    """The triple of D = (a; b) from n0 = h0(D) and n2 = h0(K - D).
-
-    chi comes from Riemann-Roch and h1 = h0 + h2 - chi, which must be >= 0.
-    """
-    chi = _chi(a, b)
-    n1 = n0 + n2 - chi
-    if n1 < 0:
-        raise InvariantViolation(f"negative h1 for {DivisorClass(a, b)}")
-    return CohomologyTriple(h0=n0, h1=n1, h2=n2, chi=chi)
-
-
 def cohomology(d: DivisorClass) -> CohomologyTriple:
     """The full triple; h2(D) = h0(K - D), h1 = h0 + h2 - chi (always >= 0)."""
-    return triple(d.a, d.b, h0(d), h0(K - d))
+    n0, n2, chi = h0(d), h0(K - d), _chi(d.a, d.b)
+    n1 = n0 + n2 - chi
+    if n1 < 0:
+        raise InvariantViolation(f"negative h1 for {d}")
+    return CohomologyTriple(h0=n0, h1=n1, h2=n2, chi=chi)
 
 
 @dataclass(frozen=True, slots=True)

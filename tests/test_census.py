@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import json
 import sys
 import threading
 import time
@@ -10,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from cubiccurves import census
+from cubiccurves import census, cli
 from cubiccurves.census import (
     CSV_COLUMNS,
     _standard_coefficients,
@@ -177,13 +178,6 @@ def test_census_small_block():
         assert r.dim_w == r.d + r.g + 18
 
 
-def test_census_threads_equal():
-    one, s1 = census_range(10, 13, 0, 30, threads=1)
-    many, s8 = census_range(10, 13, 0, 30, threads=8)
-    assert one == many and s1 == s8
-    assert census_csv(one) == census_csv(many)
-
-
 def test_threads_flag_starts_no_thread(capsys, monkeypatch):
     def refuse(self):
         raise AssertionError("the census started a thread")
@@ -194,6 +188,18 @@ def test_threads_flag_starts_no_thread(capsys, monkeypatch):
     one = capsys.readouterr().out
     assert run([*argv, "--threads", "4"]) == 0
     assert capsys.readouterr().out == one
+
+
+def test_census_builds_json_records_only_for_json(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "_record_json", lambda r: built.append(r) or {})
+    argv = ["census", "--d-min", "10", "--d-max", "11", "--g-min", "0", "--g-max", "10"]
+    for fmt in ("table", "csv"):
+        assert run([*argv, "--format", fmt]) == 0
+    capsys.readouterr()
+    assert built == []
+    assert run([*argv, "--format", "json"]) == 0
+    assert len(built) == json.loads(capsys.readouterr().out)["summary"]["records"] > 0
 
 
 def test_csv_shape():

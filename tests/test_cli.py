@@ -65,12 +65,20 @@ def test_negative_a_class_accepted(capsys):
     assert (payload["h0"], payload["h2"]) == (0, 1)  # the canonical class
 
 
+VISIBLE = "reduce,invariants,cohomology,normality,classify,hilbert-dim,kleppe,census,gen-obstructed,verify-paper"
+
+
 def test_help_exits_zero(capsys):
     assert run(["-h"]) == 0
     out = capsys.readouterr().out
-    assert "census" in out
+    usage = out.split("\n\n")[0].split()  # the usage paragraph, however it wraps
+    assert usage == ["usage:", "cubiccurves", "[-h]", "{" + VISIBLE + "}", "..."]  # in table order
     assert "oracle-h0" not in out  # hidden
-    assert run(["reduce", "-h"]) == 0
+    for name in VISIBLE.split(","):
+        assert run([name, "-h"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: cubiccurves {name} ")
+    assert run(["oracle-h0", "-h"]) == 0
+    assert "--seed" in capsys.readouterr().out
 
 
 def test_hilbert_dim_json(capsys):
@@ -107,6 +115,12 @@ def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "payload.json"
     assert run(["invariants", "12;4,4,4,4,2,2", "--format", "json", "--out", str(target)]) == 0
     assert target.read_text() == capsys.readouterr().out
+    # an unwritable path prints nothing on stdout and one error line, exit 1
+    missing = tmp_path / "no-such-dir" / "payload.json"
+    assert run(["invariants", "12;4,4,4,4,2,2", "--out", str(missing)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write {missing}: No such file or directory\n"
 
 
 def test_stdin_batch_json(capsys, monkeypatch):

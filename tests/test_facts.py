@@ -15,7 +15,7 @@ import pytest
 from cubiccurves import obstruction
 from cubiccurves.census import _record, census_range
 from cubiccurves.cli import run
-from cubiccurves.cohomology import _chi, cohomology, h0, h0_ab, triple
+from cubiccurves.cohomology import _chi, cohomology, h0
 from cubiccurves.curve import _standard_facts, abnormality, curve_facts, hodge_genus_bound, invariants
 from cubiccurves.errors import NotSmoothMember
 from cubiccurves.lattice import Cremona, DivisorClass, K, Perm, apply_word, lines27
@@ -92,7 +92,7 @@ def test_negative_degree_twist_shortcut_is_strict():
 def test_closed_form_twists_match_riemann_roch_on_census_d10_30():
     # the twist -(C+nK) takes chi = g - nd + 3n(n+1)/2 from (d, g), and h0 = 0
     # for d > 3n; it must equal Riemann-Roch on the coefficients and the
-    # triple built from both h0 values
+    # cohomology of the twist
     records, _ = census_range(10, 30, 0, hodge_genus_bound(30))
     assert len(records) == 6528
     for r in records:
@@ -102,7 +102,7 @@ def test_closed_form_twists_match_riemann_roch_on_census_d10_30():
             assert r.d > 3 * n
             ta, tb = 3 * n - a, tuple(n - x for x in b)
             assert t.chi == _chi(ta, tb) == r.g - n * r.d + 3 * n * (n + 1) // 2
-            assert t == triple(ta, tb, h0_ab(ta, tb), h0_ab(a - 3 * n - 3, tuple(x - n - 1 for x in b)))
+            assert t == cohomology(DivisorClass(ta, tb))
 
 
 def test_normality_of_a_small_class_pinned(capsys):
