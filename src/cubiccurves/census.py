@@ -16,7 +16,7 @@ import csv
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .curve import CurveFacts, _standard_facts, curve_facts, hodge_genus_bound, is_smooth_standard
+from .curve import CurveFacts, _genus, _standard_facts, hodge_genus_bound, is_smooth_standard
 from .errors import DegreeTooSmall, GenusOutOfHodgeRange, InvariantViolation, NonPositiveDegree
 from .lattice import DivisorClass, is_standard
 from .obstruction import (
@@ -58,10 +58,7 @@ def _families_by_genus(d: int) -> dict[int, tuple[DivisorClass, ...]]:
     sorted on (a, b1..b6); the genus is read off the coefficients once."""
     out: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for a, b in _standard_coefficients(d):
-        t = a * (a - 3) - sum([x * (x - 1) for x in b])  # C.C + K.C
-        if t % 2:
-            raise InvariantViolation(f"odd C.C + K.C = {t} for {DivisorClass(a, b)}")
-        out.setdefault(1 + t // 2, []).append((a, b))
+        out.setdefault(_genus(a, b), []).append((a, b))
     return {g: tuple([DivisorClass(a, b) for a, b in sorted(v)]) for g, v in out.items()}
 
 
@@ -87,11 +84,6 @@ class CensusRecord:
     dim: HilbertDimResult
     kleppe: KleppeVerdict
     dim_w: int
-
-
-def _record(cls: DivisorClass) -> CensusRecord:
-    """The census record of any smooth-member class, read off one curve_facts pass."""
-    return _record_of(cls, curve_facts(cls))
 
 
 def _enumerated_record(cls: DivisorClass, d: int, g: int) -> CensusRecord:

@@ -43,7 +43,7 @@ class ClassParseError(Exception):
         )
 
 
-_INT = re.compile(r"[+-]?\d+")
+_INT = re.compile(r"[+-]?[0-9]+")
 
 
 def _scan_int(text: str, pos: int) -> tuple[int, int]:
@@ -405,7 +405,7 @@ def _build_parser() -> _Parser:
     return p
 
 
-_NEGCLASS = re.compile(r"-\d+;")
+_NEGCLASS = re.compile(r"-[0-9]+;")
 
 
 def run(argv=None) -> int:

@@ -1,14 +1,14 @@
 """Cohomology of divisor classes on the cubic surface.
 
-h0 is computed by fixed-component reduction: while some line pairs
-negatively with D, that line is a fixed component and can be subtracted
-without changing h0; the loop stops at a nef class N (where h0 = chi(N),
-since h1 = h2 = 0 for nef classes on a del Pezzo surface), at 0, or at a
-class that is not effective (h0 = 0) because it has non-positive
-anticanonical degree or pairs negatively with l or some l-ei.  h2 is
-h0(K - D) by Serre duality and h1 closes the Euler characteristic.  The
-stripping and chi run on plain integers (h0_ab, _chi); the functions
-taking a DivisorClass are thin wrappers over them.
+h0 is computed by fixed-component reduction in one pass: the lines that
+pair negatively with an effective D are its fixed components, each taken
+-D.l times, and subtracting them leaves the nef part N of D's Zariski
+decomposition, where h0 = chi(N) since h1 = h2 = 0 for nef classes on a
+del Pezzo surface.  A class whose residue is not nef, or that pairs
+negatively with l or some l-ei, is not effective (h0 = 0).  h2 is h0(K - D)
+by Serre duality and h1 closes the Euler characteristic.  The stripping and
+chi run on plain integers (h0_ab, _chi); the functions taking a
+DivisorClass are thin wrappers over them.
 
 The engine never consults the interpolation oracle; the oracle module
 validates h0 independently.
@@ -22,7 +22,6 @@ from .errors import InvariantViolation, NotEffective
 from .lattice import K, DivisorClass, line_pairings, lines27
 
 _LINES = lines27()
-_ZERO_B = (0, 0, 0, 0, 0, 0)
 # each line as (a, its nonzero (i, bi)): a fixed-line pass touches only those
 _LINE_TERMS = tuple((line.a, tuple((i, x) for i, x in enumerate(line.b) if x)) for line in _LINES)
 
@@ -46,60 +45,55 @@ def is_nef(d: DivisorClass) -> bool:
 
 
 def _strip(a: int, b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """The terminal nef class of (a; b) as (a, b); None when not effective.
+    """The nef part of (a; b) as (a, b); None when the class is not effective.
 
-    Subtracts, per pass, every line l with D.l < 0 taken -D.l times.  Each
-    atomic subtraction happens while the running class still pairs
-    negatively with l, so h0 is preserved throughout, and -K.D drops by at
-    least 1 per pass, which bounds the loop.
+    One pass.  Subtract every line l with D.l < 0, taken -D.l times, and
+    return the residue if it is nef, else None.  This is exact.  Let D be
+    effective with Zariski decomposition D = P + N.  The components of N
+    span a negative-definite lattice; the only curves of negative square on
+    the cubic are the 27 lines, and two lines that meet span
+    [[-1, 1], [1, -1]], which is not negative definite.  So N = sum ai*li
+    over pairwise disjoint lines, D.li = P.li + N.li = -ai < 0, and every
+    other line has D.l = P.l + N.l >= 0.  The pass therefore subtracts
+    exactly N and leaves P, which is nef, with h0(D) = h0(P) = chi(P).
+    Conversely a nef residue R is effective: h1(R) = h2(R) = 0, and R.R and
+    -K.R are >= 0, so chi(R) = (R.R - K.R)/2 + 1 >= 1 and D = R + (lines) is
+    effective.  A residue that is not nef therefore means D is not effective.
 
-    Chamber first step.  Write x+ = max(x, 0).  For a sorted class
+    Chamber exit.  Write x+ = max(x, 0).  For a sorted class
     (b1 >= ... >= b6) with a >= b1+ + b2+ + b3+, the pairings are bi,
     a-bi-bj >= a-b1+-b2+ >= 0 and 2a-sum(b)+bi >= 2a-(b1+ + ... + b5+) >= 0,
     so the only negative lines are the ei with bi < 0, each taken -bi times.
-    One pass strips exactly those, and the residue (a; b+) meets the same
-    bounds with b6+ >= 0, hence is nef.  The loop would end there too: for
-    D != 0, -K.D = -K.residue + sum(max(-bi, 0)) > 0, so its degree test
-    never fires.
+    Stripping them leaves (a; b+), which meets the same bounds with
+    b6+ >= 0, hence is nef.
 
-    Pencil rejection.  l and l-ei are nef (base-point free: the net of
-    plane lines and the pencil of lines through pi), so an effective class
-    pairs with them to a >= 0 and a - bi >= 0.  The running class is effective
-    exactly when D is, so a < 0 or a < max(b) ends the loop with None.
+    Pencil exit.  l and l-ei are nef (base-point free: the net of plane
+    lines and the pencil of lines through pi), so an effective class pairs
+    with them to a >= 0 and a - bi >= 0; a < 0 or a < max(b) gives None.
     """
     b1, b2, b3, b4, b5, b6 = b
     # b1+ + b2+ + b3+ of a sorted b: b3 >= 0 makes all three their own positive parts
     if b1 >= b2 >= b3 >= b4 >= b5 >= b6 and a >= (b1 + b2 + b3 if b3 >= 0 else max(b1, 0) + max(b2, 0)):
         return a, b if b6 >= 0 else tuple([x if x > 0 else 0 for x in b])
-    while True:
-        if a == 0 and b == _ZERO_B:
-            return a, b
-        if a < 0 or a < max(b) or 3 * a - sum(b) <= 0:
-            return None
-        mu = line_pairings(a, b)
-        if min(mu) >= 0:
-            return a, b
-        b = list(b)
-        for m, (la, terms) in zip(mu, _LINE_TERMS):
-            if m < 0:
-                a += m * la
-                for i, x in terms:
-                    b[i] += m * x
-        b = tuple(b)
+    if a < 0 or a < max(b):
+        return None
+    mu = line_pairings(a, b)
+    if min(mu) >= 0:
+        return a, b
+    b = list(b)
+    for m, (la, terms) in zip(mu, _LINE_TERMS):
+        if m < 0:
+            a += m * la
+            for i, x in terms:
+                b[i] += m * x
+    b = tuple(b)
+    return (a, b) if min(line_pairings(a, b)) >= 0 else None
 
 
 def h0_ab(a: int, b: tuple[int, ...]) -> int:
-    """h0 of the class (a; b), on plain integers: chi of its terminal nef class."""
+    """h0 of the class (a; b), on plain integers: chi of its nef part."""
     nef = _strip(a, b)
     return 0 if nef is None else _chi(*nef)
-
-
-def _terminal_nef(d: DivisorClass) -> DivisorClass | None:
-    """Strip fixed lines until nef (see _strip); None when the class is not effective."""
-    nef = _strip(d.a, d.b)
-    if nef is None:
-        return None
-    return d if nef == (d.a, d.b) else DivisorClass(*nef)
 
 
 def is_effective(d: DivisorClass) -> bool:
@@ -138,23 +132,23 @@ class ZariskiDecomposition:
 def fixed_part(d: DivisorClass) -> ZariskiDecomposition:
     """Zariski decomposition of an effective class.
 
-    The fixed lines are exactly those with D.l < 0, with multiplicity -D.l;
-    for an effective class one pass suffices, the lines are pairwise
-    disjoint, and the nef part meets each of them in 0.
+    The fixed lines are exactly those with D.l < 0, with multiplicity -D.l,
+    and the nef part is what _strip's one pass leaves (see its proof): the
+    lines are pairwise disjoint, and the nef part meets each of them in 0.
     """
-    if not is_effective(d):
+    nef = _strip(d.a, d.b)
+    if nef is None:
         raise NotEffective(f"{d} is not an effective class")
-    mu = line_pairings(d.a, d.b)
-    fixed = tuple((line, -m) for line, m in zip(_LINES, mu) if m < 0)
-    nef_part = d
-    for line, mult in fixed:
-        nef_part = nef_part - mult * line
+    nef_part = d if nef == (d.a, d.b) else DivisorClass(*nef)
+    fixed = tuple((line, -m) for line, m in zip(_LINES, line_pairings(d.a, d.b)) if m < 0)
     if len(fixed) > 6:
         raise InvariantViolation(f"{len(fixed)} fixed lines for {d}")
     if any(l1.dot(l2) != 0 for i, (l1, _) in enumerate(fixed) for (l2, _) in fixed[i + 1:]):
         raise InvariantViolation(f"fixed lines of {d} are not pairwise disjoint")
     if not is_nef(nef_part) or any(nef_part.dot(line) != 0 for line, _ in fixed):
         raise InvariantViolation(f"nef part {nef_part} of {d} is not nef or meets a fixed line")
+    if sum((mult * line for line, mult in fixed), nef_part) != d:
+        raise InvariantViolation(f"nef part {nef_part} plus the fixed lines is not {d}")
     return ZariskiDecomposition(nef_part=nef_part, fixed=fixed)
 
 

@@ -19,14 +19,17 @@ from .errors import InvariantViolation, NonPositiveDegree, NotSmoothMember
 from .lattice import K, DivisorClass, line_pairings, reduce_to_standard
 
 
-def invariants(c: DivisorClass) -> tuple[int, int]:
-    """(degree, genus) = (-K.C, 1 + (C.C + K.C)/2)."""
-    a, b = c.a, c.b
-    d = 3 * a - sum(b)
+def _genus(a: int, b: tuple[int, ...]) -> int:
+    """The arithmetic genus 1 + (C.C + K.C)/2 of (a; b), with C.C + K.C checked even."""
     t = a * (a - 3) - sum([x * (x - 1) for x in b])  # C.C + K.C
     if t % 2:
-        raise InvariantViolation(f"odd C.C + K.C = {t} for {c}")
-    return d, 1 + t // 2
+        raise InvariantViolation(f"odd C.C + K.C = {t} for {DivisorClass(a, b)}")
+    return 1 + t // 2
+
+
+def invariants(c: DivisorClass) -> tuple[int, int]:
+    """(degree, genus) = (-K.C, 1 + (C.C + K.C)/2)."""
+    return 3 * c.a - sum(c.b), _genus(c.a, c.b)
 
 
 def hodge_genus_bound(d: int) -> int:

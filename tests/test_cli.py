@@ -31,6 +31,8 @@ def test_parse_class():
         ("12;4,4,4,4,2", 12),
         ("12;4,4,4,4,2,2,9", 14),
         ("", 0),
+        ("١٢;4,4,4,4,2,2", 0),
+        ("12;4,4,4,４,2,2", 9),
     ],
 )
 def test_parse_class_errors(text, caret_at):

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from cubiccurves import obstruction
-from cubiccurves.census import _record, census_range
+from cubiccurves.census import _record_of, census_range
 from cubiccurves.cli import run
 from cubiccurves.cohomology import _chi, cohomology, h0
 from cubiccurves.curve import _standard_facts, abnormality, curve_facts, hodge_genus_bound, invariants
@@ -46,7 +46,7 @@ def test_window_is_the_d10_16_census():
 
 def test_record_fields_equal_public_functions():
     for c in _classes():
-        r = _record(c)
+        r = _record_of(c, curve_facts(c))
         defects = [abnormality(c, n) for n in (1, 2, 3)]
         normality = next((n - 1 for n, v in enumerate(defects, start=1) if v), 3)
         assert r.cls == c

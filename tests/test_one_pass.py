@@ -1,13 +1,16 @@
-"""The closed-form steps of _strip against the plain stripping loop.
+"""_strip's closed-form exits and its one pass against the plain stripping loop.
 
-ref_strip is _strip without its shortcuts: per pass, subtract every line l
-with D.l < 0, -D.l times, until the class is 0, has non-positive degree (not
-effective) or is nef.  _strip adds two closed forms.  The chamber step
-claims that for b1 >= ... >= b6 and a >= b1+ + b2+ + b3+ (x+ = max(x, 0))
-this loop ends after at most one pass at (a; b+).  The pencil step claims
-that a class with a < 0 or a < max(b) is not effective, because it pairs
-negatively with l or some l-ei.  _strip must equal the loop on such classes,
-on random classes and on every h0 argument the census d 10..30 produces.
+ref_strip is the loop _strip replaced: per pass, subtract every line l with
+D.l < 0, -D.l times, until the class is 0, has non-positive degree (not
+effective) or is nef.  _strip makes two closed-form exits and then exactly
+one such pass, returning the residue when it is nef and None otherwise.
+The chamber exit claims that for b1 >= ... >= b6 and a >= b1+ + b2+ + b3+
+(x+ = max(x, 0)) the loop ends after at most one pass at (a; b+).  The
+pencil exit claims that a class with a < 0 or a < max(b) is not effective,
+because it pairs negatively with l or some l-ei.  The one pass claims that
+whenever the loop needs two or more passes, the class is not effective.
+_strip must equal the loop on such classes, on random classes and on every
+h0 argument the census d 10..30 produces.
 """
 
 import random
@@ -16,6 +19,7 @@ import sys
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
+from cubiccurves import lattice
 from cubiccurves.cohomology import _chi, _strip, h0_ab
 from cubiccurves.census import census_range
 from cubiccurves.curve import hodge_genus_bound
@@ -41,6 +45,19 @@ def ref_strip(a, b):
                 for i in range(6):
                     b[i] += m * line.b[i]
         b = tuple(b)
+
+
+def _count_pairings(monkeypatch, module):
+    """Patch module.line_pairings to log the least pairing of each call."""
+    calls = []
+
+    def counted(a, b):
+        mu = lattice.line_pairings(a, b)
+        calls.append(min(mu))
+        return mu
+
+    monkeypatch.setattr(module, "line_pairings", counted)
+    return calls
 
 
 def ref_h0(a, b):
@@ -145,7 +162,7 @@ def test_pencil_step_rejects_like_loop(ab):
     assert ref_strip(a, b) is None
 
 
-# effective classes with a = max(b) that enter the loop: l - e2 (h0 = 2),
+# effective classes with a = max(b) that make the pass: l - e2 (h0 = 2),
 # 2l - 2e2 - e3 - e4 (h0 = 1) and 5l - 5e2 - e3 - ... - e6 (h0 = 2)
 @example((1, (0, 1, 0, 0, 0, 0)))
 @example((2, (0, 2, 1, 1, 0, 0)))
@@ -156,6 +173,32 @@ def test_pencil_step_rejects_like_loop(ab):
 def test_strip_matches_loop_at_the_pencil_bound(ab):
     a, b = ab
     assert _strip(a, b) == ref_strip(a, b)
+
+
+def test_two_pass_class_is_rejected_after_one_pass(monkeypatch):
+    a, b = 34, (19, -12, 16, 15, -19, 19)
+    ref_calls = _count_pairings(monkeypatch, sys.modules[__name__])
+    assert ref_strip(a, b) is None
+    assert sum(m < 0 for m in ref_calls) >= 2  # the loop strips lines twice or more
+    calls = _count_pairings(monkeypatch, sys.modules["cubiccurves.cohomology"])
+    assert _strip(a, b) is None
+    assert len(calls) == 2  # the pass and the nef test of its residue
+
+
+def test_every_class_the_loop_strips_twice_is_not_effective(monkeypatch):
+    calls = _count_pairings(monkeypatch, sys.modules[__name__])
+    multi = 0
+    for s, r in enumerate((5, 30, 200)):
+        rng = random.Random(400 + s)
+        for _ in range(20_000):
+            a = rng.randint(-r, 3 * r)
+            b = tuple(rng.randint(-r, r) for _ in range(6))
+            calls.clear()
+            got = ref_strip(a, b)
+            if sum(m < 0 for m in calls) >= 2:
+                multi += 1
+                assert got is None and _strip(a, b) is None, (a, b)
+    assert multi > 500  # 1,007 of the 60,000
 
 
 def test_strip_matches_loop_on_seeded_random_classes():
@@ -207,30 +250,24 @@ def test_h0_matches_loop_on_every_census_d10_30_argument(census_d10_30_arguments
         assert h0_ab(a, b) == ref_h0(a, b), (a, b)
 
 
-def test_only_arguments_outside_both_closed_forms_enter_the_loop(census_d10_30_arguments, monkeypatch):
-    # every pass of the loop calls line_pairings once; the closed forms call it never
-    passes = [0]
-
-    def counted(a, b):
-        passes[0] += 1
-        return line_pairings(a, b)
-
-    monkeypatch.setattr(sys.modules["cubiccurves.cohomology"], "line_pairings", counted)
-    looped = chamber = pencil = 0
+def test_only_arguments_outside_both_closed_forms_make_the_pass(census_d10_30_arguments, monkeypatch):
+    # the pass calls line_pairings once or twice; the closed forms call it never
+    calls = _count_pairings(monkeypatch, sys.modules["cubiccurves.cohomology"])
+    passed = chamber = pencil = 0
     for a, b in census_d10_30_arguments:
-        passes[0] = 0
+        calls.clear()
         _strip(a, b)
-        if passes[0]:
-            # an argument that still enters the loop is unsorted or sorted
-            # with a < b1+ + b2+ + b3+, and pairs >= 0 with l and every l-ei
+        if calls:
+            # an argument that makes the pass is unsorted or sorted with
+            # a < b1+ + b2+ + b3+, and pairs >= 0 with l and every l-ei
             assert not in_chamber(a, b) and not pencil_rejects(a, b), (a, b)
-            looped += 1
+            passed += 1
         elif in_chamber(a, b):
             chamber += 1
         elif pencil_rejects(a, b):
             pencil += 1
     # the closed forms settle most census arguments (41,826 distinct: 8,959
-    # in the chamber, 27,818 below a pencil, 4,968 looping), with negative
-    # b3 among the chamber ones
-    assert chamber > looped and pencil > looped and chamber + pencil > 5 * looped
+    # in the chamber, 27,818 below a pencil, 4,968 making the pass), with
+    # negative b3 among the chamber ones
+    assert chamber > passed and pencil > passed and chamber + pencil > 5 * passed
     assert any(in_chamber(a, b) and b[2] < 0 for a, b in census_d10_30_arguments)
