@@ -121,32 +121,27 @@ def _record_of(cls: DivisorClass, facts: CurveFacts) -> CensusRecord:
 def census_range(d_min: int, d_max: int, g_min: int, g_max: int) -> tuple[tuple[CensusRecord, ...], dict[str, int]]:
     """Records for every family with d in [d_min, d_max], g in [g_min, g_max].
 
-    g cells beyond the Hodge bound of their degree are skipped entirely;
-    the summary counts only cells within the bound.  Each record comes from
-    a single facts pass over its enumerated class, which is standard already
-    and is not reduced again (see _enumerated_record).
+    One walk over the (d, g) cells up to each degree's Hodge bound: a cell
+    is counted, and its families become records as it is reached, or it is
+    counted as empty.  Each record is one facts pass over its enumerated
+    class, which is standard already and is not reduced (_enumerated_record).
     """
     if d_min <= 9:
         raise DegreeTooSmall(f"census needs d_min > 9, got {d_min}")
     if d_max < d_min or g_max < g_min or g_min < 0:
         raise GenusOutOfHodgeRange(f"empty or negative range d=[{d_min},{d_max}] g=[{g_min},{g_max}]")
-    cells = []
-    empty = 0
+    records: list[CensusRecord] = []
+    cells = empty = 0
     for d in range(d_min, d_max + 1):
         by_g = _families_by_genus(d)
         for g in range(g_min, min(g_max, hodge_genus_bound(d)) + 1):
+            cells += 1
             fams = by_g.get(g, ())
             if fams:
-                cells.append((d, g, fams))
+                records.extend([_enumerated_record(c, d, g) for c in fams])
             else:
                 empty += 1
-    records = tuple(_enumerated_record(c, d, g) for d, g, fams in cells for c in fams)
-    summary = {
-        "cells": len(cells) + empty,
-        "empty_cells": empty,
-        "records": len(records),
-    }
-    return records, summary
+    return tuple(records), {"cells": cells, "empty_cells": empty, "records": len(records)}
 
 
 CSV_COLUMNS = (
@@ -155,11 +150,8 @@ CSV_COLUMNS = (
 
 
 def _kleppe_text(k: KleppeVerdict) -> str:
-    if k.kind == "NotApplicable":
-        return f"NotApplicable[{k.failed_hypothesis}]"
-    if k.kind == "KnownRange":
-        return f"KnownRange[{k.range_tag}]"
-    return k.kind
+    tag = k.failed_hypothesis or k.range_tag
+    return f"{k.kind}[{tag}]" if tag else k.kind
 
 
 def census_rows(records):

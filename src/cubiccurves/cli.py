@@ -23,7 +23,7 @@ from .census import CSV_COLUMNS, _kleppe_text, census_csv, census_range, census_
 from .cohomology import cohomology
 from .curve import curve_facts, invariants, is_smooth_standard, normality_profile
 from .errors import DegeneratePoints, PreconditionError
-from .lattice import Cremona, DivisorClass, Perm, reduce_to_standard
+from .lattice import DivisorClass, Perm, reduce_to_standard
 from .obstruction import ObstructionVerdict, dim_of, gen_obstructed, kleppe_of, verdict_of
 from .oracle import h0_interpolation
 from .verify import run_checks

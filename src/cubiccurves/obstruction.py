@@ -111,10 +111,10 @@ def h1_normal(c: DivisorClass) -> int:
 
 
 def h0_normal(c: DivisorClass) -> int:
-    """h0 of the normal bundle: 4d + h1(normal bundle)."""
+    """h0 of the normal bundle, 4d + h0(S, C + 4K), off one curve_facts pass."""
     facts = curve_facts(c)
     d = facts.d
-    val = 4 * d + h1_normal(c)
+    val = 4 * d + facts.h2
     if d > 9:
         rr = d + facts.g + 18 + facts.defects[2]
         if val != rr:

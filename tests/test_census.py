@@ -14,6 +14,7 @@ import pytest
 from cubiccurves import census, cli
 from cubiccurves.census import (
     CSV_COLUMNS,
+    _kleppe_text,
     _standard_coefficients,
     census_csv,
     census_range,
@@ -23,6 +24,7 @@ from cubiccurves.cli import run
 from cubiccurves.curve import hodge_genus_bound, invariants
 from cubiccurves.errors import DegreeTooSmall, GenusOutOfHodgeRange, NonPositiveDegree
 from cubiccurves.lattice import DivisorClass, is_standard
+from cubiccurves.obstruction import KleppeVerdict
 
 D = DivisorClass.of
 
@@ -165,6 +167,33 @@ def test_census_records_are_not_reduced_again(monkeypatch):
     assert calls["reduce_to_standard"] == 0
     assert calls["require_smooth_member"] == 0
     assert calls["invariants"] <= len(records)
+
+
+def test_census_window_above_genus_zero():
+    # g_min > 0, and d = 10 is clipped at its Hodge bound 36: 7 + 11 * 6 cells
+    assert hodge_genus_bound(10) == 36
+    records, summary = census_range(10, 16, 30, 40)
+    assert summary == {"cells": 73, "empty_cells": 65, "records": 11}
+    assert [(r.d, r.g) for r in records] == [
+        (15, 30), (15, 31), (16, 30), (16, 30), (16, 31), (16, 31), (16, 32), (16, 33), (16, 33), (16, 34), (16, 35)
+    ]
+
+
+@pytest.mark.parametrize(
+    "verdict, text",
+    [
+        (KleppeVerdict(kind="NotApplicable", failed_hypothesis="d<=9"), "NotApplicable[d<=9]"),
+        (KleppeVerdict(kind="NotApplicable", failed_hypothesis="g<3d-18"), "NotApplicable[g<3d-18]"),
+        (KleppeVerdict(kind="NotApplicable", failed_hypothesis="not-linearly-normal"), "NotApplicable[not-linearly-normal]"),
+        (KleppeVerdict(kind="NotApplicable", failed_hypothesis="h1_ic3=0"), "NotApplicable[h1_ic3=0]"),
+        (KleppeVerdict(kind="KnownRange", range_tag="d14-17"), "KnownRange[d14-17]"),
+        (KleppeVerdict(kind="KnownRange", range_tag="d18+"), "KnownRange[d18+]"),
+        (KleppeVerdict(kind="Open"), "Open"),
+        (KleppeVerdict(kind="ProvenTheorem1", dim=63), "ProvenTheorem1"),
+    ],
+)
+def test_kleppe_text_every_verdict_shape(verdict, text):
+    assert _kleppe_text(verdict) == text
 
 
 def test_census_small_block():

@@ -95,6 +95,16 @@ def test_normal_bundle_counts():
     assert h0_normal(MUMFORD) == 57
 
 
+def test_h0_normal_reads_one_curve_facts(monkeypatch):
+    from cubiccurves import obstruction
+
+    calls = []
+    facts = obstruction.curve_facts
+    monkeypatch.setattr(obstruction, "curve_facts", lambda c: calls.append(c) or facts(c))
+    assert h0_normal(D16G29) == 65
+    assert calls == [D16G29]
+
+
 def test_kleppe_verdicts():
     v = kleppe_verdict(D(14, 2, 2, 2, 2, 2, 2))
     assert (v.kind, v.dim) == ("ProvenTheorem1", 120)
