@@ -104,18 +104,9 @@ def _record_of(cls: DivisorClass, facts: CurveFacts) -> CensusRecord:
             break
         normality = n
     verdict = verdict_of(facts)
-    return CensusRecord(
-        cls=cls,
-        d=facts.d,
-        g=facts.g,
-        h1_ic3=facts.defects[2],
-        h2=facts.h2,
-        normality=normality,
-        verdict=verdict,
-        dim=dim_of(facts, verdict),
-        kleppe=kleppe_of(facts),
-        dim_w=facts.d + facts.g + 18,
-    )
+    d, g = facts.d, facts.g
+    return CensusRecord(cls, d, g, facts.defects[2], facts.h2, normality, verdict,
+                        dim_of(facts, verdict), kleppe_of(facts), d + g + 18)
 
 
 def census_range(d_min: int, d_max: int, g_min: int, g_max: int) -> tuple[tuple[CensusRecord, ...], dict[str, int]]:

@@ -359,11 +359,9 @@ def _verify_paper(args) -> tuple[str, int]:
         "failed": sum(c.status == "FAIL" for c in checks),
         "flagged": sum(c.status == "FLAGGED" for c in checks),
     }
-    # the table has always titled its first column "check"
-    header = ["check_id" if args.format == "csv" else "check", "status", "detail"]
     tail = f"\n{len(checks)} checks: {counts['passed']} passed, {counts['failed']} failed, {counts['flagged']} flagged\n"
     text = _render_report(args.format, lambda: {"checks": [asdict(c) for c in checks], **counts},
-                          header, [astuple(c) for c in checks], tail)
+                          ["check_id", "status", "detail"], [astuple(c) for c in checks], tail)
     return text, 0 if counts["failed"] == 0 else 1
 
 

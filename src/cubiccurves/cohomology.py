@@ -28,7 +28,9 @@ _LINE_TERMS = tuple((line.a, tuple((i, x) for i, x in enumerate(line.b) if x)) f
 
 def _chi(a: int, b: tuple[int, ...]) -> int:
     """Riemann-Roch for (a; b): chi = D.(D - K)/2 + 1, with D.(D - K) checked even."""
-    t = a * (a + 3) - sum([x * (x + 1) for x in b])  # D.D - K.D
+    b1, b2, b3, b4, b5, b6 = b
+    # D.D - K.D
+    t = a * (a + 3) - b1 * (b1 + 1) - b2 * (b2 + 1) - b3 * (b3 + 1) - b4 * (b4 + 1) - b5 * (b5 + 1) - b6 * (b6 + 1)
     if t % 2:
         raise InvariantViolation(f"odd D.(D-K) = {t} for {DivisorClass(a, b)}")
     return t // 2 + 1

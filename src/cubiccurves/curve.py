@@ -7,7 +7,9 @@ The n-normality defect of such a curve is h1 of the ideal sheaf twisted by
 n, which lives on the surface as h1(S, -(C + nK)).
 
 curve_facts computes, once per class, every number the obstruction,
-dimension and census code reads; those modules are readers of CurveFacts.
+dimension and census code reads, as plain integers; those modules are
+readers of CurveFacts.  Only the 27 line pairings of C + 3K, which the
+obstruction test alone reads, are computed when read.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from .lattice import K, DivisorClass, line_pairings, reduce_to_standard
 
 def _genus(a: int, b: tuple[int, ...]) -> int:
     """The arithmetic genus 1 + (C.C + K.C)/2 of (a; b), with C.C + K.C checked even."""
-    t = a * (a - 3) - sum([x * (x - 1) for x in b])  # C.C + K.C
+    b1, b2, b3, b4, b5, b6 = b
+    # C.C + K.C
+    t = a * (a - 3) - b1 * (b1 - 1) - b2 * (b2 - 1) - b3 * (b3 - 1) - b4 * (b4 - 1) - b5 * (b5 - 1) - b6 * (b6 - 1)
     if t % 2:
         raise InvariantViolation(f"odd C.C + K.C = {t} for {DivisorClass(a, b)}")
     return 1 + t // 2
@@ -66,19 +70,31 @@ def abnormality(c: DivisorClass, n: int) -> int:
 class CurveFacts:
     """What the paper's criteria read off a smooth-member class C, with L = C + 3K.
 
-    twists[n-1] is the cohomology triple of -(C + nK) for n = 1, 2, 3, so its
-    h2 is h0(C + (n+1)K); defects[n-1] = twists[n-1].h1 is the n-normality
-    defect (defects[2] = h1(S, -L)), h2 = twists[2].h2 = h2(S, -L) =
-    h0(S, C + 4K), and pairings[i] = L.lines27()[i].
+    For n = 1, 2, 3, h0s[n-1] = h0(-(C + nK)), h2s[n-1] = h2(-(C + nK)) =
+    h0(C + (n+1)K) and defects[n-1] = h1(-(C + nK)), the n-normality defect
+    (defects[2] = h1(S, -L)); h2 = h2s[2] = h2(S, -L) = h0(S, C + 4K).
+    twists and pairings are built only when read: twists[n-1] is the
+    cohomology triple of -(C + nK), and pairings[i] = L.lines27()[i].
     """
 
     standard: DivisorClass
     d: int
     g: int
-    twists: tuple[CohomologyTriple, CohomologyTriple, CohomologyTriple]
+    h0s: tuple[int, int, int]
+    h2s: tuple[int, int, int]
     defects: tuple[int, int, int]
     h2: int
-    pairings: tuple[int, ...]
+
+    @property
+    def twists(self) -> tuple[CohomologyTriple, CohomologyTriple, CohomologyTriple]:
+        d, g = self.d, self.g
+        return tuple([CohomologyTriple(h0, h1, h2, g - n * d + 3 * n * (n + 1) // 2)
+                      for n, h0, h1, h2 in zip((1, 2, 3), self.h0s, self.defects, self.h2s)])
+
+    @property
+    def pairings(self) -> tuple[int, ...]:
+        b1, b2, b3, b4, b5, b6 = self.standard.b
+        return line_pairings(self.standard.a - 9, (b1 - 3, b2 - 3, b3 - 3, b4 - 3, b5 - 3, b6 - 3))
 
 
 def curve_facts(c: DivisorClass) -> CurveFacts:
@@ -99,25 +115,20 @@ def _standard_facts(std: DivisorClass, d: int, g: int) -> CurveFacts:
     gives chi(-(C + nK)) = (C + nK).(C + (n+1)K)/2 + 1 = g - nd + 3n(n+1)/2.
     -(C + nK) has degree 3n - d, so when d > 3n its h0 is 0 without stripping.
     """
-    a, b = std.a, std.b
-    twists = []
+    a = std.a
+    b1, b2, b3, b4, b5, b6 = std.b
+    h0s, h1s, h2s = [], [], []
     for n in (1, 2, 3):
-        chi = g - n * d + 3 * n * (n + 1) // 2
-        h0 = 0 if d > 3 * n else h0_ab(3 * n - a, tuple([n - x for x in b]))
-        h2 = h0_ab(a - 3 * n - 3, tuple([x - n - 1 for x in b]))
-        if h0 + h2 < chi:
+        m = n + 1
+        h0 = 0 if d > 3 * n else h0_ab(3 * n - a, (n - b1, n - b2, n - b3, n - b4, n - b5, n - b6))
+        h2 = h0_ab(a - 3 * m, (b1 - m, b2 - m, b3 - m, b4 - m, b5 - m, b6 - m))
+        h1 = h0 + h2 - (g - n * d + 3 * n * m // 2)
+        if h1 < 0:
             raise InvariantViolation(f"negative h1 for {-(std + n * K)}")
-        twists.append(CohomologyTriple(h0, h0 + h2 - chi, h2, chi))
-    t1, t2, t3 = twists
-    return CurveFacts(
-        standard=std,
-        d=d,
-        g=g,
-        twists=(t1, t2, t3),
-        defects=(t1.h1, t2.h1, t3.h1),
-        h2=t3.h2,
-        pairings=line_pairings(a - 9, tuple([x - 3 for x in b])),
-    )
+        h0s.append(h0)
+        h1s.append(h1)
+        h2s.append(h2)
+    return CurveFacts(std, d, g, tuple(h0s), tuple(h2s), tuple(h1s), h2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,11 +157,11 @@ def normality_profile(c: DivisorClass) -> CurveReport:
     # m-normal for m < n.  h0(C + nK) is the h2 of the (n-1)-th twist.
     for n in (2, 3):
         square = (a - 3 * n) ** 2 - sum([(x - n) ** 2 for x in b])
-        if defects[n] == 0 and square > 0 and facts.twists[n - 2].h2 > 0 and any(defects[m] for m in range(1, n)):
+        if defects[n] == 0 and square > 0 and facts.h2s[n - 2] > 0 and any(defects[m] for m in range(1, n)):
             raise InvariantViolation(f"{std} is {n}-normal but not m-normal for some m < {n}")
     s = 3
     for n in (1, 2):
-        if facts.twists[n - 1].h0 > 0:
+        if facts.h0s[n - 1] > 0:
             s = n
             break
     return CurveReport(

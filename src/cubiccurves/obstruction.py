@@ -81,13 +81,14 @@ def verdict_of(facts: CurveFacts) -> ObstructionVerdict:
     if facts.h2 == 0:
         return _UNOBSTRUCTED_H2
     # With h1 and h2 both nonzero, L+K is effective (h0(L+K) = h2 > 0) and
-    # L is not nef.
-    if min(facts.pairings) >= 0:
+    # L is not nef.  facts.pairings is computed on each read, so read it once.
+    pairings = facts.pairings
+    if min(pairings) >= 0:
         raise InvariantViolation(f"L = C+3K is nef while h1(-L) and h2(-L) are nonzero for {facts.standard}")
     # (a; b) = L + K = C + 4K, and Delta = L + K - 2mE below
     a, b = facts.standard.a - 12, [x - 4 for x in facts.standard.b]
     witnesses: list[tuple[DivisorClass, int, str]] = []
-    for e, pairing in zip(lines27(), facts.pairings):
+    for e, pairing in zip(lines27(), pairings):
         m = -pairing
         if m <= 0:
             continue
@@ -140,13 +141,13 @@ class HilbertDimResult:
 def _exact(value: int, method: str, d: int) -> HilbertDimResult:
     if value < 4 * d:
         raise InvariantViolation(f"{method} dimension {value} below 4d = {4 * d}")
-    return HilbertDimResult(kind="exact", method=method, value=value)
+    return HilbertDimResult("exact", method, value)
 
 
 def _interval(lo: int, hi: int, method: str) -> HilbertDimResult:
     if lo > hi:
         raise InvariantViolation(f"empty {method} interval [{lo}, {hi}]")
-    return HilbertDimResult(kind="interval", method=method, lo=lo, hi=hi)
+    return HilbertDimResult("interval", method, None, lo, hi)
 
 
 def hilbert_dim(c: DivisorClass) -> HilbertDimResult:

@@ -12,10 +12,10 @@ import random
 
 import pytest
 
-from cubiccurves import obstruction
+from cubiccurves import curve, obstruction
 from cubiccurves.census import _record_of, census_range
 from cubiccurves.cli import run
-from cubiccurves.cohomology import _chi, cohomology, h0
+from cubiccurves.cohomology import CohomologyTriple, _chi, cohomology, h0
 from cubiccurves.curve import _standard_facts, abnormality, curve_facts, hodge_genus_bound, invariants
 from cubiccurves.errors import NotSmoothMember
 from cubiccurves.lattice import Cremona, DivisorClass, K, Perm, apply_word, lines27
@@ -66,6 +66,34 @@ def test_facts_pairings_are_those_of_the_adjoint_class():
         L = f.standard + 3 * K
         assert f.pairings == tuple(L.dot(e) for e in lines27())
         assert f.defects == tuple(abnormality(c, n) for n in (1, 2, 3))
+
+
+def test_census_records_build_no_triples_and_pairings_only_for_the_line_scan(monkeypatch):
+    # a record reads the twists' numbers as ints, and the 27 pairings of
+    # C+3K are computed only by verdict_of's line scan, which runs when
+    # h1(-L) and h2(-L) are both nonzero
+    triples, pairings = [], []
+    init, kernel = CohomologyTriple.__init__, curve.line_pairings
+
+    def counted_init(self, *args, **kwargs):
+        triples.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_pairings(a, b):
+        pairings.append((a + 9, tuple(x + 3 for x in b)))
+        return kernel(a, b)
+
+    monkeypatch.setattr(CohomologyTriple, "__init__", counted_init)
+    monkeypatch.setattr(curve, "line_pairings", counted_pairings)
+    records, _ = census_range(10, 16, 0, hodge_genus_bound(16))
+    assert len(records) == 342
+    assert triples == []
+    scanned = [(r.cls.a, r.cls.b) for r in records if r.h1_ic3 != 0 and r.h2 != 0]
+    assert pairings == scanned and len(scanned) == 8
+    # the counters see what reading the properties builds
+    facts = curve_facts(records[0].cls)
+    assert len(facts.twists) == 3 and len(facts.pairings) == 27
+    assert len(triples) == 3 and len(pairings) == 9
 
 
 def test_facts_need_a_smooth_member():
