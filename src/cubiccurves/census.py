@@ -16,7 +16,7 @@ import csv
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .curve import CurveFacts, _genus, _standard_facts, hodge_genus_bound, is_smooth_standard
+from .curve import _genus, _standard_facts, hodge_genus_bound, is_smooth_standard
 from .errors import DegreeTooSmall, GenusOutOfHodgeRange, InvariantViolation, NonPositiveDegree
 from .lattice import DivisorClass, is_standard
 from .obstruction import (
@@ -86,7 +86,7 @@ class CensusRecord:
     dim_w: int
 
 
-def _enumerated_record(cls: DivisorClass, d: int, g: int) -> CensusRecord:
+def _record_of(cls: DivisorClass, d: int, g: int) -> CensusRecord:
     """The census record of an enumerated class of degree d and genus g.
 
     The class is already standard, so it is checked, not reduced: sorted
@@ -94,17 +94,13 @@ def _enumerated_record(cls: DivisorClass, d: int, g: int) -> CensusRecord:
     """
     if not (is_standard(cls) and is_smooth_standard(cls)):
         raise InvariantViolation(f"enumerated class {cls} is not a standard smooth-member class")
-    return _record_of(cls, _standard_facts(cls, d, g))
-
-
-def _record_of(cls: DivisorClass, facts: CurveFacts) -> CensusRecord:
+    facts = _standard_facts(cls, d, g)
     normality = 0
     for n, defect in enumerate(facts.defects, start=1):
         if defect != 0:
             break
         normality = n
     verdict = verdict_of(facts)
-    d, g = facts.d, facts.g
     return CensusRecord(cls, d, g, facts.defects[2], facts.h2, normality, verdict,
                         dim_of(facts, verdict), kleppe_of(facts), d + g + 18)
 
@@ -115,7 +111,7 @@ def census_range(d_min: int, d_max: int, g_min: int, g_max: int) -> tuple[tuple[
     One walk over the (d, g) cells up to each degree's Hodge bound: a cell
     is counted, and its families become records as it is reached, or it is
     counted as empty.  Each record is one facts pass over its enumerated
-    class, which is standard already and is not reduced (_enumerated_record).
+    class, which is standard already and is not reduced (_record_of).
     """
     if d_min <= 9:
         raise DegreeTooSmall(f"census needs d_min > 9, got {d_min}")
@@ -129,7 +125,7 @@ def census_range(d_min: int, d_max: int, g_min: int, g_max: int) -> tuple[tuple[
             cells += 1
             fams = by_g.get(g, ())
             if fams:
-                records.extend([_enumerated_record(c, d, g) for c in fams])
+                records.extend([_record_of(c, d, g) for c in fams])
             else:
                 empty += 1
     return tuple(records), {"cells": cells, "empty_cells": empty, "records": len(records)}

@@ -165,7 +165,7 @@ def _cmd_classify(cls: DivisorClass) -> dict:
 
 def _cmd_hilbert_dim(cls: DivisorClass) -> dict:
     facts = curve_facts(cls)
-    r = dim_of(facts)
+    r = dim_of(facts, verdict_of(facts))
     return {
         "class": str(cls),
         "standard": str(facts.standard),
@@ -415,16 +415,11 @@ def run(argv=None) -> int:
     argv = [(" " + a) if _NEGCLASS.match(a) else a for a in argv]
     try:
         args = parser.parse_args(argv)
-    except _UsageError as e:
-        print(e, file=sys.stderr)
-        return 1
+        if "run" not in args:  # no command given
+            raise _UsageError(parser.format_usage().rstrip("\n"))
+        text, code = args.run(args)
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    if "run" not in args:  # no command given
-        print(parser.format_usage(), file=sys.stderr, end="")
-        return 1
-    try:
-        text, code = args.run(args)
     except ClassParseError as e:
         print(e.render(), file=sys.stderr)
         return 1

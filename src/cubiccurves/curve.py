@@ -7,18 +7,19 @@ The n-normality defect of such a curve is h1 of the ideal sheaf twisted by
 n, which lives on the surface as h1(S, -(C + nK)).
 
 curve_facts computes, once per class, every number the obstruction,
-dimension and census code reads, as plain integers; those modules are
-readers of CurveFacts.  Only the 27 line pairings of C + 3K, which the
-obstruction test alone reads, are computed when read.
+dimension and census code reads, as plain integers: h0, h1 and h2 of the
+three twists -(C + nK).  Those modules are readers of CurveFacts.  Only the
+27 line pairings of C + 3K, which the obstruction test alone reads, are
+computed when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import CohomologyTriple, cohomology, h0_ab
+from .cohomology import cohomology, h0_ab
 from .errors import InvariantViolation, NonPositiveDegree, NotSmoothMember
-from .lattice import K, DivisorClass, line_pairings, reduce_to_standard
+from .lattice import K, DivisorClass, degree, line_pairings, reduce_to_standard
 
 
 def _genus(a: int, b: tuple[int, ...]) -> int:
@@ -33,7 +34,7 @@ def _genus(a: int, b: tuple[int, ...]) -> int:
 
 def invariants(c: DivisorClass) -> tuple[int, int]:
     """(degree, genus) = (-K.C, 1 + (C.C + K.C)/2)."""
-    return 3 * c.a - sum(c.b), _genus(c.a, c.b)
+    return degree(c), _genus(c.a, c.b)
 
 
 def hodge_genus_bound(d: int) -> int:
@@ -73,8 +74,7 @@ class CurveFacts:
     For n = 1, 2, 3, h0s[n-1] = h0(-(C + nK)), h2s[n-1] = h2(-(C + nK)) =
     h0(C + (n+1)K) and defects[n-1] = h1(-(C + nK)), the n-normality defect
     (defects[2] = h1(S, -L)); h2 = h2s[2] = h2(S, -L) = h0(S, C + 4K).
-    twists and pairings are built only when read: twists[n-1] is the
-    cohomology triple of -(C + nK), and pairings[i] = L.lines27()[i].
+    pairings is computed when read: pairings[i] = L.lines27()[i].
     """
 
     standard: DivisorClass
@@ -84,12 +84,6 @@ class CurveFacts:
     h2s: tuple[int, int, int]
     defects: tuple[int, int, int]
     h2: int
-
-    @property
-    def twists(self) -> tuple[CohomologyTriple, CohomologyTriple, CohomologyTriple]:
-        d, g = self.d, self.g
-        return tuple([CohomologyTriple(h0, h1, h2, g - n * d + 3 * n * (n + 1) // 2)
-                      for n, h0, h1, h2 in zip((1, 2, 3), self.h0s, self.defects, self.h2s)])
 
     @property
     def pairings(self) -> tuple[int, ...]:

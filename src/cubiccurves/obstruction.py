@@ -158,17 +158,15 @@ def hilbert_dim(c: DivisorClass) -> HilbertDimResult:
     linearly and quadratically normal has dimension d+g+18; an obstructed
     curve with h2 = 1 has dimension d+g+17+h1; otherwise only the interval
     [d+g+18+h1-h2, d+g+18+h1] survives, with the top end dropped by 1 when
-    the curve is known to be obstructed.  One pass: the branches read
-    curve_facts(c), and the verdict is computed from it only when needed.
+    the curve is known to be obstructed.  One pass: the branches and the
+    verdict read curve_facts(c).
     """
-    return dim_of(curve_facts(c))
+    facts = curve_facts(c)
+    return dim_of(facts, verdict_of(facts))
 
 
-def dim_of(facts: CurveFacts, verdict: ObstructionVerdict | None = None) -> HilbertDimResult:
-    """The hilbert_dim result of the class behind facts.
-
-    verdict, when given, is verdict_of(facts) already computed by the caller.
-    """
+def dim_of(facts: CurveFacts, verdict: ObstructionVerdict) -> HilbertDimResult:
+    """The hilbert_dim result of the class behind facts, whose verdict_of is verdict."""
     d, g = facts.d, facts.g
     if d <= 9:
         raise DegreeTooSmall(f"dimension rules require degree > 9, got d={d}")
@@ -177,8 +175,6 @@ def dim_of(facts: CurveFacts, verdict: ObstructionVerdict | None = None) -> Hilb
         return _exact(4 * d + h2l, "smooth-point", d)
     lo = d + g + 18 + h1l - h2l
     hi = d + g + 18 + h1l
-    if verdict is None:
-        verdict = verdict_of(facts)
     if verdict.kind == "Obstructed":
         if g >= 3 * d - 18 and facts.defects[0] == 0 and facts.defects[1] == 0:
             if h2l == 1 and d + g + 18 != d + g + 17 + h1l:

@@ -1,10 +1,11 @@
 """One CurveFacts pass per class agrees with the public one-class functions.
 
-The census builds each record from a single curve_facts pass; every field
-must equal what abnormality, h0, classify, hilbert_dim and kleppe_verdict
-return on their own, for every family with d in 10..16 and for a W(E6)-moved
-copy of each.  The twist chi taken from (d, g) is checked against
-Riemann-Roch on the coefficients, and the shared verdict constants against
+The census builds each record from a single facts pass on the class's
+standard form; every field must equal what abnormality, h0, classify,
+hilbert_dim and kleppe_verdict return on their own, for every family with d
+in 10..16 and for a W(E6)-moved copy of each.  The twists' h0, h1 and h2 in
+CurveFacts are checked against cohomology on the coefficients and their chi
+from (d, g) against Riemann-Roch, and the shared verdict constants against
 freshly built verdicts.
 """
 
@@ -22,6 +23,15 @@ from cubiccurves.lattice import Cremona, DivisorClass, K, Perm, apply_word, line
 from cubiccurves.obstruction import KleppeVerdict, ObstructionVerdict, classify, hilbert_dim, kleppe_verdict
 
 FAMILIES = census_range(10, 16, 0, hodge_genus_bound(16))[0]
+
+
+def _twist(f, n: int) -> tuple[int, int, int]:
+    """(h0, h1, h2) of the twist -(C + nK) as CurveFacts holds them."""
+    return f.h0s[n - 1], f.defects[n - 1], f.h2s[n - 1]
+
+
+def _hs(t: CohomologyTriple) -> tuple[int, int, int]:
+    return t.h0, t.h1, t.h2
 
 
 def _moved(c: DivisorClass, rng: random.Random) -> DivisorClass:
@@ -46,10 +56,11 @@ def test_window_is_the_d10_16_census():
 
 def test_record_fields_equal_public_functions():
     for c in _classes():
-        r = _record_of(c, curve_facts(c))
+        std = curve_facts(c).standard
+        r = _record_of(std, *invariants(std))
         defects = [abnormality(c, n) for n in (1, 2, 3)]
         normality = next((n - 1 for n, v in enumerate(defects, start=1) if v), 3)
-        assert r.cls == c
+        assert r.cls == std
         assert (r.d, r.g) == invariants(c)
         assert r.h1_ic3 == defects[2]
         assert r.normality == normality
@@ -90,10 +101,11 @@ def test_census_records_build_no_triples_and_pairings_only_for_the_line_scan(mon
     assert triples == []
     scanned = [(r.cls.a, r.cls.b) for r in records if r.h1_ic3 != 0 and r.h2 != 0]
     assert pairings == scanned and len(scanned) == 8
-    # the counters see what reading the properties builds
+    # the counters see what a cohomology call and reading pairings build
     facts = curve_facts(records[0].cls)
-    assert len(facts.twists) == 3 and len(facts.pairings) == 27
-    assert len(triples) == 3 and len(pairings) == 9
+    assert _hs(cohomology(-(facts.standard + K))) == _twist(facts, 1)
+    assert len(facts.pairings) == 27
+    assert len(triples) == 1 and len(pairings) == 9
 
 
 def test_facts_need_a_smooth_member():
@@ -107,14 +119,14 @@ def test_negative_degree_twist_shortcut_is_strict():
     for n in (1, 2, 3):
         f = curve_facts(-n * K)
         assert f.d == 3 * n
-        assert f.twists[n - 1].h0 == h0(DivisorClass.of(0, 0, 0, 0, 0, 0, 0)) == 1
+        assert f.h0s[n - 1] == h0(DivisorClass.of(0, 0, 0, 0, 0, 0, 0)) == 1
     # (3; 1,0,0,0,0,0) has d = 8, so its n = 3 twist has d <= 3n; the last
     # class has d > 3n for every n
     for c in (*(-n * K for n in (1, 2, 3)), DivisorClass.of(3, 1, 0, 0, 0, 0, 0),
               DivisorClass.of(12, 4, 4, 4, 4, 2, 2)):
         f = curve_facts(c)
-        for m, t in enumerate(f.twists, start=1):
-            assert t == cohomology(-(f.standard + m * K))
+        for m in (1, 2, 3):
+            assert _twist(f, m) == _hs(cohomology(-(f.standard + m * K)))
 
 
 def test_closed_form_twists_match_riemann_roch_on_census_d10_30():
@@ -126,11 +138,12 @@ def test_closed_form_twists_match_riemann_roch_on_census_d10_30():
     for r in records:
         facts = _standard_facts(r.cls, r.d, r.g)
         a, b = r.cls.a, r.cls.b
-        for n, t in enumerate(facts.twists, start=1):
+        for n in (1, 2, 3):
             assert r.d > 3 * n
             ta, tb = 3 * n - a, tuple(n - x for x in b)
+            t = cohomology(DivisorClass(ta, tb))
+            assert _twist(facts, n) == _hs(t)
             assert t.chi == _chi(ta, tb) == r.g - n * r.d + 3 * n * (n + 1) // 2
-            assert t == cohomology(DivisorClass(ta, tb))
 
 
 def test_normality_of_a_small_class_pinned(capsys):
