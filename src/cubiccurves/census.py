@@ -100,9 +100,9 @@ def _record_of(cls: DivisorClass, d: int, g: int) -> CensusRecord:
         if defect != 0:
             break
         normality = n
-    verdict = verdict_of(facts)
+    verdict, kleppe = verdict_of(facts), kleppe_of(facts)
     return CensusRecord(cls, d, g, facts.defects[2], facts.h2, normality, verdict,
-                        dim_of(facts, verdict), kleppe_of(facts), d + g + 18)
+                        dim_of(facts, verdict, kleppe), kleppe, d + g + 18)
 
 
 def census_range(d_min: int, d_max: int, g_min: int, g_max: int) -> tuple[tuple[CensusRecord, ...], dict[str, int]]:

@@ -165,7 +165,7 @@ def _cmd_classify(cls: DivisorClass) -> dict:
 
 def _cmd_hilbert_dim(cls: DivisorClass) -> dict:
     facts = curve_facts(cls)
-    r = dim_of(facts, verdict_of(facts))
+    r = dim_of(facts, verdict_of(facts), kleppe_of(facts))
     return {
         "class": str(cls),
         "standard": str(facts.standard),

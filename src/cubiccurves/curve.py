@@ -130,7 +130,6 @@ class CurveReport:
     cls: DivisorClass
     degree: int
     genus: int
-    smooth_member: bool
     abnormality: dict[int, int]
     s_invariant: int
 
@@ -158,11 +157,4 @@ def normality_profile(c: DivisorClass) -> CurveReport:
         if facts.h0s[n - 1] > 0:
             s = n
             break
-    return CurveReport(
-        cls=std,
-        degree=d,
-        genus=g,
-        smooth_member=True,
-        abnormality=defects,
-        s_invariant=s,
-    )
+    return CurveReport(cls=std, degree=d, genus=g, abnormality=defects, s_invariant=s)

@@ -9,7 +9,9 @@ multiplicity 2 or 3 does when an explicit restriction map is surjective.
 
 classify, hilbert_dim and kleppe_verdict each build the class's CurveFacts
 once and read it through verdict_of, dim_of and kleppe_of; the census calls
-those readers directly on one CurveFacts per record.
+those readers directly on one CurveFacts per record.  dim_of decides no rule
+of its own: it reads the dimension, between chi(N) = 4d and the tangent
+dimension h0(N) = 4d + h2(S,-L), off h0(N) and the two verdicts.
 """
 
 from __future__ import annotations
@@ -111,9 +113,9 @@ def h1_normal(c: DivisorClass) -> int:
     return curve_facts(c).h2
 
 
-def h0_normal(c: DivisorClass) -> int:
-    """h0 of the normal bundle, 4d + h0(S, C + 4K), off one curve_facts pass."""
-    facts = curve_facts(c)
+def _h0_normal(facts: CurveFacts) -> int:
+    """h0(N) = 4d + h2 of the class behind facts.  For d > 9, h0(-L) = 0 and
+    Riemann-Roch gives h2 - h1(-L) = chi(-L) = g - 3d + 18, which is checked."""
     d = facts.d
     val = 4 * d + facts.h2
     if d > 9:
@@ -121,6 +123,11 @@ def h0_normal(c: DivisorClass) -> int:
         if val != rr:
             raise InvariantViolation(f"h0(N) = {val} but d+g+18+h1(I_C(3)) = {rr} for {facts.standard}")
     return val
+
+
+def h0_normal(c: DivisorClass) -> int:
+    """h0 of the normal bundle, 4d + h0(S, C + 4K), off one curve_facts pass."""
+    return _h0_normal(curve_facts(c))
 
 
 def flag_dim(c: DivisorClass) -> int:
@@ -153,39 +160,38 @@ def _interval(lo: int, hi: int, method: str) -> HilbertDimResult:
 def hilbert_dim(c: DivisorClass) -> HilbertDimResult:
     """Local dimension of the Hilbert scheme of space curves at [C] (d > 9).
 
-    Branches, in order: a vanishing h1(S,-L) or h2(S,-L) makes [C] a smooth
-    point of dimension 4d + h2; an obstructed curve with g >= 3d-18 that is
-    linearly and quadratically normal has dimension d+g+18; an obstructed
-    curve with h2 = 1 has dimension d+g+17+h1; otherwise only the interval
-    [d+g+18+h1-h2, d+g+18+h1] survives, with the top end dropped by 1 when
-    the curve is known to be obstructed.  One pass: the branches and the
-    verdict read curve_facts(c).
+    Every component through [C] has dimension at least chi(N) = 4d, and the
+    tangent space has dimension n = h0(N) = 4d + h0(S, C+4K).  An
+    unobstructed [C] is a smooth point of dimension n; an obstructed one has
+    dimension d+g+18 when the Kleppe verdict is ProvenTheorem1 (Theorem
+    1.1), exactly n - 1 = 4d when h0(S, C+4K) = 1, else lies in [4d, n - 1];
+    an undetermined one lies in [4d, n].  One pass: the dimension is read
+    off curve_facts(c), its verdict and its Kleppe verdict.
     """
     facts = curve_facts(c)
-    return dim_of(facts, verdict_of(facts))
+    return dim_of(facts, verdict_of(facts), kleppe_of(facts))
 
 
-def dim_of(facts: CurveFacts, verdict: ObstructionVerdict) -> HilbertDimResult:
-    """The hilbert_dim result of the class behind facts, whose verdict_of is verdict."""
-    d, g = facts.d, facts.g
+def dim_of(facts: CurveFacts, verdict: ObstructionVerdict, kleppe: KleppeVerdict) -> HilbertDimResult:
+    """The hilbert_dim result of the class behind facts, read off h0(N) and
+    its verdict_of and kleppe_of results."""
+    d = facts.d
     if d <= 9:
         raise DegreeTooSmall(f"dimension rules require degree > 9, got d={d}")
-    h1l, h2l = facts.defects[2], facts.h2
-    if h1l == 0 or h2l == 0:
-        return _exact(4 * d + h2l, "smooth-point", d)
-    lo = d + g + 18 + h1l - h2l
-    hi = d + g + 18 + h1l
+    n = _h0_normal(facts)
+    if verdict.kind == "Unobstructed":
+        return _exact(n, "smooth-point", d)
     if verdict.kind == "Obstructed":
-        if g >= 3 * d - 18 and facts.defects[0] == 0 and facts.defects[1] == 0:
-            if h2l == 1 and d + g + 18 != d + g + 17 + h1l:
+        if kleppe.kind == "ProvenTheorem1":
+            if facts.h2 == 1 and kleppe.dim != n - 1:
                 raise InvariantViolation(
-                    f"theorem-1.1 ({d + g + 18}) and prop-4.5 ({d + g + 17 + h1l}) disagree for {facts.standard}"
+                    f"theorem-1.1 ({kleppe.dim}) and prop-4.5 ({n - 1}) disagree for {facts.standard}"
                 )
-            return _exact(d + g + 18, "theorem-1.1", d)
-        if h2l == 1:
-            return _exact(d + g + 17 + h1l, "prop-4.5", d)
-        return _interval(lo, hi - 1, "theorem-4.3")
-    return _interval(lo, hi, "theorem-4.3")
+            return _exact(kleppe.dim, "theorem-1.1", d)
+        if facts.h2 == 1:
+            return _exact(n - 1, "prop-4.5", d)
+        return _interval(4 * d, n - 1, "theorem-4.3")
+    return _interval(4 * d, n, "theorem-4.3")
 
 
 @dataclass(frozen=True, slots=True)

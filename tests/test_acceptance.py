@@ -544,18 +544,31 @@ def test_criterion_09_census_determinism(capfd, census):
 
 
 def test_criterion_10_consistency_web(capfd, census):
+    # each record's dimension is the one its h0(N) and two verdicts give:
+    # smooth-point = h0(N) exactly when Unobstructed; theorem-1.1 exactly when
+    # Obstructed and ProvenTheorem1, at the Kleppe dimension d+g+18; prop-4.5
+    # = 4d = h0(N) - 1; every interval [4d, h0(N) - 1] when Obstructed and
+    # [4d, h0(N)] otherwise
     bad = []
     records, _ = census
     for r in records:
-        h1l, h2l = r.h1_ic3, r.h2
-        lo = r.dim_w + h1l - h2l
-        hi = r.dim_w + h1l
-        if r.dim.kind == "exact":
-            if not (lo <= r.dim.value <= hi and r.dim.value >= 4 * r.d):
-                bad.append(f"{r.cls}: exact {r.dim.value} outside [{lo},{hi}]")
+        n = h0_normal(r.cls)
+        obstructed = r.verdict.kind == "Obstructed"
+        if n != r.dim_w + r.h1_ic3:
+            bad.append(f"{r.cls}: h0(N) {n} != {r.dim_w + r.h1_ic3}")
+        if r.verdict.kind == "Unobstructed":
+            want = ("exact", "smooth-point", n)
+        elif obstructed and r.kleppe.kind == "ProvenTheorem1":
+            want = ("exact", "theorem-1.1", r.dim_w)
+            if r.kleppe.dim != r.dim_w:
+                bad.append(f"{r.cls}: Kleppe dimension {r.kleppe.dim} != d+g+18 = {r.dim_w}")
+        elif obstructed and r.h2 == 1:
+            want = ("exact", "prop-4.5", n - 1)
+            if n - 1 != 4 * r.d:
+                bad.append(f"{r.cls}: prop-4.5 h0(N) - 1 = {n - 1} != 4d = {4 * r.d}")
         else:
-            if not (lo <= r.dim.lo <= r.dim.hi <= hi):
-                bad.append(f"{r.cls}: interval [{r.dim.lo},{r.dim.hi}] outside [{lo},{hi}]")
-        if h0_normal(r.cls) != r.dim_w + h1l:
-            bad.append(f"{r.cls}: h0(N) {h0_normal(r.cls)} != {r.dim_w + h1l}")
-    _verdict(capfd, 10, f"dim branches inside the interval bound on all {len(records)} records", bad)
+            want = ("interval", "theorem-4.3", 4 * r.d, n - obstructed)
+        got = (r.dim.kind, r.dim.method) + ((r.dim.value,) if r.dim.kind == "exact" else (r.dim.lo, r.dim.hi))
+        if got != want:
+            bad.append(f"{r.cls}: {got} != {want}")
+    _verdict(capfd, 10, f"dim read off h0(N) and the two verdicts on all {len(records)} records", bad)
