@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .curve import _genus, _standard_facts, hodge_genus_bound, is_smooth_standard
-from .errors import DegreeTooSmall, GenusOutOfHodgeRange, InvariantViolation, NonPositiveDegree
+from .errors import DegreeTooSmall, GenusOutOfHodgeRange, InvariantViolation
 from .lattice import DivisorClass, is_standard
 from .obstruction import (
     HilbertDimResult,
@@ -58,15 +58,13 @@ def _families_by_genus(d: int) -> dict[int, tuple[DivisorClass, ...]]:
     sorted on (a, b1..b6); the genus is read off the coefficients once."""
     out: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for a, b in _standard_coefficients(d):
-        out.setdefault(_genus(a, b), []).append((a, b))
+        out.setdefault(_genus(a, b, d), []).append((a, b))
     return {g: tuple([DivisorClass(a, b) for a, b in sorted(v)]) for g, v in out.items()}
 
 
 def enumerate_families(d: int, g: int) -> tuple[DivisorClass, ...]:
     """All standard smooth-member classes of the given degree and genus,
-    sorted lexicographically on (a, b1..b6)."""
-    if d <= 0:
-        raise NonPositiveDegree(f"degree must be positive, got {d}")
+    sorted lexicographically on (a, b1..b6); hodge_genus_bound rejects d <= 0."""
     if not 0 <= g <= hodge_genus_bound(d):
         raise GenusOutOfHodgeRange(f"genus {g} outside [0, {hodge_genus_bound(d)}] for degree {d}")
     return _families_by_genus(d).get(g, ())

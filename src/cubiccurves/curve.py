@@ -1,7 +1,8 @@
 """Numerical invariants of curve classes and their normality profile.
 
 A class C cuts out curves of degree d = -K.C and arithmetic genus
-g = 1 + (C.C + K.C)/2 in P^3.  The linear system |C| contains a smooth
+g = 1 + (C.C + K.C)/2 = chi(C) - d in P^3, since Riemann-Roch gives
+chi(C) = d + g (h0(C) for a smooth member).  |C| contains a smooth
 connected member exactly when the standard form has a > b1 and b6 >= 0.
 The n-normality defect of such a curve is h1 of the ideal sheaf twisted by
 n, which lives on the surface as h1(S, -(C + nK)).
@@ -17,24 +18,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import cohomology, h0_ab
+from .cohomology import _chi, cohomology, h0_ab
 from .errors import InvariantViolation, NonPositiveDegree, NotSmoothMember
 from .lattice import K, DivisorClass, degree, line_pairings, reduce_to_standard
 
 
-def _genus(a: int, b: tuple[int, ...]) -> int:
-    """The arithmetic genus 1 + (C.C + K.C)/2 of (a; b), with C.C + K.C checked even."""
-    b1, b2, b3, b4, b5, b6 = b
-    # C.C + K.C
-    t = a * (a - 3) - b1 * (b1 - 1) - b2 * (b2 - 1) - b3 * (b3 - 1) - b4 * (b4 - 1) - b5 * (b5 - 1) - b6 * (b6 - 1)
-    if t % 2:
-        raise InvariantViolation(f"odd C.C + K.C = {t} for {DivisorClass(a, b)}")
-    return 1 + t // 2
+def _genus(a: int, b: tuple[int, ...], d: int) -> int:
+    """The genus of (a; b) of degree d: Riemann-Roch gives chi(C) =
+    1 + (C.C - K.C)/2 = g + d, and _chi checks C.C - K.C, so C.C + K.C, even."""
+    return _chi(a, b) - d
 
 
 def invariants(c: DivisorClass) -> tuple[int, int]:
     """(degree, genus) = (-K.C, 1 + (C.C + K.C)/2)."""
-    return degree(c), _genus(c.a, c.b)
+    d = degree(c)
+    return d, _genus(c.a, c.b, d)
 
 
 def hodge_genus_bound(d: int) -> int:
@@ -145,11 +143,11 @@ def normality_profile(c: DivisorClass) -> CurveReport:
     if not 0 <= g <= hodge_genus_bound(d):
         raise InvariantViolation(f"genus {g} outside [0, {hodge_genus_bound(d)}] for {std}")
     defects = dict(zip((1, 2, 3), facts.defects))
-    a, b = std.a, std.b
     # Monotone once C+nK is effective with positive square: n-normal implies
-    # m-normal for m < n.  h0(C + nK) is the h2 of the (n-1)-th twist.
+    # m-normal for m < n.  h0(C + nK) is the h2 of the (n-1)-th twist.  With
+    # C.C = 2g - 2 + d, K.C = -d and K.K = 3, (C + nK)^2 = 2g - 2 + d - 2nd + 3n^2.
     for n in (2, 3):
-        square = (a - 3 * n) ** 2 - sum([(x - n) ** 2 for x in b])
+        square = 2 * g - 2 + d - 2 * n * d + 3 * n * n
         if defects[n] == 0 and square > 0 and facts.h2s[n - 2] > 0 and any(defects[m] for m in range(1, n)):
             raise InvariantViolation(f"{std} is {n}-normal but not m-normal for some m < {n}")
     s = 3

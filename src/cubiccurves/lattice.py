@@ -34,8 +34,9 @@ class DivisorClass:
     def __post_init__(self) -> None:
         if len(self.b) != 6:
             raise ValueError("a divisor class needs exactly six b-coefficients")
-        object.__setattr__(self, "a", int(self.a))
-        object.__setattr__(self, "b", tuple(map(int, self.b)))
+        # operator.index, not int: a float or a digit string is a TypeError, not truncated or split
+        object.__setattr__(self, "a", operator.index(self.a))
+        object.__setattr__(self, "b", tuple(map(operator.index, self.b)))
 
     @classmethod
     def of(cls, a: int, *b: int) -> "DivisorClass":

@@ -24,10 +24,9 @@ from .errors import DegreeTooSmall, DprimeNotNef, InvalidK, InvariantViolation, 
 from .lattice import K, DivisorClass, lines27
 
 
-def _restriction_onto(da: int, db: tuple[int, ...], ea: int, eb: tuple[int, ...]) -> bool:
-    """restriction_surjective on the coefficients of Delta = (da; db) and a line E = (ea; eb)."""
-    deg = da * ea - sum([x * y for x, y in zip(db, eb)])
-    target = deg + 1 if deg >= 0 else 0
+def _restriction_onto(da: int, db: tuple[int, ...], ea: int, eb: tuple[int, ...], target: int) -> bool:
+    """restriction_surjective on the coefficients of Delta = (da; db) and a line
+    E = (ea; eb), given the target's dimension h0(E, Delta|E)."""
     return h0_ab(da, db) - h0_ab(da - ea, tuple([x - y for x, y in zip(db, eb)])) == target
 
 
@@ -36,10 +35,12 @@ def restriction_surjective(delta: DivisorClass, e: DivisorClass) -> bool:
 
     E is a P^1, so the target has dimension Delta.E + 1 (or 0 when the
     degree is negative), and the kernel of the restriction is H0(S, Delta-E).
+    In the obstruction scan Delta.E = m - 1, so there the target is m.
     """
     if e.square != -1 or K.dot(e) != -1:
         raise NotALine(f"{e} is not a line class")
-    return _restriction_onto(delta.a, delta.b, e.a, e.b)
+    deg = delta.dot(e)
+    return _restriction_onto(delta.a, delta.b, e.a, e.b, deg + 1 if deg >= 0 else 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,7 +88,8 @@ def verdict_of(facts: CurveFacts) -> ObstructionVerdict:
     pairings = facts.pairings
     if min(pairings) >= 0:
         raise InvariantViolation(f"L = C+3K is nef while h1(-L) and h2(-L) are nonzero for {facts.standard}")
-    # (a; b) = L + K = C + 4K, and Delta = L + K - 2mE below
+    # (a; b) = L + K = C + 4K, and Delta = L + K - 2mE below.  As L.E = -m and K.E = E.E = -1,
+    # Delta.E = (L + K).E - 2m E.E = -m - 1 + 2m = m - 1, so the restriction's target is m.
     a, b = facts.standard.a - 12, [x - 4 for x in facts.standard.b]
     witnesses: list[tuple[DivisorClass, int, str]] = []
     for e, pairing in zip(lines27(), pairings):
@@ -98,7 +100,7 @@ def verdict_of(facts: CurveFacts) -> ObstructionVerdict:
             raise InvariantViolation(f"fixed multiplicity {m} > 3 for smooth member {facts.standard}")
         if m == 1:
             witnesses.append((e, m, "m=1"))
-        elif _restriction_onto(a - 2 * m * e.a, tuple([x - 2 * m * y for x, y in zip(b, e.b)]), e.a, e.b):
+        elif _restriction_onto(a - 2 * m * e.a, tuple([x - 2 * m * y for x, y in zip(b, e.b)]), e.a, e.b, m):
             witnesses.append((e, m, "rho-surjective"))
     if witnesses:
         e, m, rule = witnesses[0]

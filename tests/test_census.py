@@ -113,8 +113,10 @@ def test_loop_enumeration_matches_recursive_reference():
 
 
 def test_enumeration_param_errors():
-    with pytest.raises(NonPositiveDegree):
-        enumerate_families(0, 0)
+    # hodge_genus_bound is the one degree check, whatever the genus
+    for d, g in ((0, 0), (0, -1), (-3, 5), (-3, 10**6)):
+        with pytest.raises(NonPositiveDegree):
+            enumerate_families(d, g)
     with pytest.raises(GenusOutOfHodgeRange):
         enumerate_families(10, hodge_genus_bound(10) + 1)
     with pytest.raises(GenusOutOfHodgeRange):

@@ -75,3 +75,17 @@ def test_s_invariant_small_curves():
     assert normality_profile(-K).s_invariant == 1
     assert normality_profile(-2 * K).s_invariant == 2
     assert normality_profile(MUMFORD).s_invariant == 3
+
+
+def test_genus_and_twist_squares_follow_from_d_and_g():
+    # the genus is chi(C) - d; check it against adjunction by the pairing, and
+    # the (d, g) formula normality_profile uses for (C + nK)^2
+    import random
+
+    rng = random.Random(17)
+    for _ in range(20_000):
+        c = D(rng.randint(-60, 60), *(rng.randint(-30, 30) for _ in range(6)))
+        d, g = invariants(c)
+        assert g == 1 + (c.square + K.dot(c)) // 2, str(c)
+        for n in (1, 2, 3):
+            assert (c + n * K).square == 2 * g - 2 + d - 2 * n * d + 3 * n * n, (str(c), n)

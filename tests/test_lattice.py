@@ -51,6 +51,20 @@ def test_arithmetic_ops():
     assert str(c) == "12;4,4,4,4,2,2"
 
 
+def test_coefficients_must_be_integers():
+    # int() would truncate 12.9 to 12 and split "444444" into six digits
+    with pytest.raises(TypeError):
+        D(12.9, 4, 4, 4, 4, 2, 2.5)
+    with pytest.raises(TypeError):
+        DivisorClass(12, "444444")
+    with pytest.raises(TypeError):
+        D("12", 4, 4, 4, 4, 2, 2)
+    np = pytest.importorskip("numpy")
+    c = DivisorClass(np.int64(12), (True, np.int32(4), 4, 4, 2, 2))
+    assert (type(c.a), {type(x) for x in c.b}) == (int, {int})
+    assert str(c) == "12;1,4,4,4,2,2"
+
+
 def test_lines27_enumeration_order():
     ls = lines27()
     assert len(ls) == 27

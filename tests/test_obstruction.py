@@ -201,3 +201,27 @@ def test_line_multiplicity_bound_never_trips():
         for g in range(0, hodge_genus_bound(d) + 1):
             for cls in enumerate_families(d, g):
                 classify(cls)
+
+
+def test_restriction_target_is_m_on_census_d10_30():
+    # the scan passes m as the target, because Delta = L + K - 2mE meets E in
+    # m - 1; restriction_surjective, which computes Delta.E, must agree with it
+    from cubiccurves.census import census_range
+    from cubiccurves.curve import hodge_genus_bound
+
+    records, _ = census_range(10, 30, 0, hodge_genus_bound(30))
+    tests = 0
+    for r in records:
+        if r.h1_ic3 == 0 or r.h2 == 0:
+            continue
+        adj = r.cls + 3 * K
+        for e in lines27():
+            m = -adj.dot(e)
+            if m not in (2, 3):
+                continue
+            delta = adj + K - 2 * m * e
+            assert delta.dot(e) == m - 1, (str(r.cls), str(e))
+            assert restriction_surjective(delta, e) == ((e, m, "rho-surjective") in r.verdict.witnesses), (
+                str(r.cls), str(e))
+            tests += 1
+    assert tests == 3740
