@@ -2,139 +2,47 @@
 smooth cubic surface.
 
 The public surface is re-exported here; the CLI lives in ``cubiccurves.cli``.
+A re-exported name imports its module on first use (PEP 562), so importing
+the package, or a CLI command, loads only the modules it reads.
 """
 
-from .cohomology import (
-    CohomologyTriple,
-    ZariskiDecomposition,
-    adjoint_fixed_part,
-    cohomology,
-    euler_char,
-    fixed_part,
-    h0,
-    is_effective,
-    is_nef,
-)
-from .census import CensusRecord, census_csv, census_range, enumerate_families
-from .curve import (
-    CurveReport,
-    abnormality,
-    has_smooth_member,
-    hodge_genus_bound,
-    invariants,
-    normality_profile,
-    require_smooth_member,
-)
-from .errors import (
-    DegeneratePoints,
-    DegreeTooSmall,
-    DprimeNotNef,
-    GenusOutOfHodgeRange,
-    InvalidK,
-    InvariantViolation,
-    NonPositiveDegree,
-    NotALine,
-    NotEffective,
-    NotSmoothMember,
-    OracleTooLarge,
-    PreconditionError,
-)
-from .lattice import (
-    Cremona,
-    DivisorClass,
-    K,
-    Perm,
-    StandardReduction,
-    ZERO,
-    apply_generator,
-    apply_word,
-    canonical,
-    conics27,
-    degree,
-    intersect,
-    is_standard,
-    lines27,
-    reduce_to_standard,
-)
-from .obstruction import (
-    HilbertDimResult,
-    KleppeVerdict,
-    ObstructionVerdict,
-    classify,
-    flag_dim,
-    gen_obstructed,
-    h0_normal,
-    h1_normal,
-    hilbert_dim,
-    kleppe_verdict,
-    restriction_surjective,
-)
-from .oracle import PointConfig, exact_rank, h0_interpolation, modular_rank, point_config
+import importlib
+
+# The function cohomology shares its module's name, and importing a submodule
+# binds the module on the package, so the function is bound here, eagerly.
+from .cohomology import cohomology
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CensusRecord",
-    "CohomologyTriple",
-    "Cremona",
-    "CurveReport",
-    "DegeneratePoints",
-    "DegreeTooSmall",
-    "DivisorClass",
-    "DprimeNotNef",
-    "GenusOutOfHodgeRange",
-    "HilbertDimResult",
-    "InvalidK",
-    "InvariantViolation",
-    "K",
-    "KleppeVerdict",
-    "NonPositiveDegree",
-    "NotALine",
-    "NotEffective",
-    "NotSmoothMember",
-    "ObstructionVerdict",
-    "OracleTooLarge",
-    "Perm",
-    "PointConfig",
-    "PreconditionError",
-    "StandardReduction",
-    "ZERO",
-    "ZariskiDecomposition",
-    "abnormality",
-    "adjoint_fixed_part",
-    "apply_generator",
-    "apply_word",
-    "canonical",
-    "census_csv",
-    "census_range",
-    "classify",
-    "cohomology",
-    "conics27",
-    "degree",
-    "enumerate_families",
-    "euler_char",
-    "exact_rank",
-    "fixed_part",
-    "flag_dim",
-    "gen_obstructed",
-    "h0",
-    "h0_interpolation",
-    "h0_normal",
-    "h1_normal",
-    "has_smooth_member",
-    "hilbert_dim",
-    "hodge_genus_bound",
-    "intersect",
-    "invariants",
-    "is_effective",
-    "is_nef",
-    "is_standard",
-    "kleppe_verdict",
-    "lines27",
-    "modular_rank",
-    "normality_profile",
-    "point_config",
-    "reduce_to_standard",
-    "require_smooth_member",
-    "restriction_surjective",
-]
+# public name -> the module that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "census": "CensusRecord census_csv census_range enumerate_families",
+        "cohomology": "CohomologyTriple ZariskiDecomposition adjoint_fixed_part cohomology euler_char"
+        " fixed_part h0 is_effective is_nef",
+        "curve": "CurveReport abnormality has_smooth_member hodge_genus_bound invariants normality_profile"
+        " require_smooth_member",
+        "errors": "DegeneratePoints DegreeTooSmall DprimeNotNef GenusOutOfHodgeRange InvalidK InvariantViolation"
+        " NonPositiveDegree NotALine NotEffective NotSmoothMember OracleTooLarge PreconditionError",
+        "lattice": "Cremona DivisorClass K Perm StandardReduction ZERO apply_generator apply_word canonical"
+        " conics27 degree intersect is_standard lines27 reduce_to_standard",
+        "obstruction": "HilbertDimResult KleppeVerdict ObstructionVerdict classify flag_dim gen_obstructed"
+        " h0_normal h1_normal hilbert_dim kleppe_verdict restriction_surjective",
+        "oracle": "PointConfig exact_rank h0_interpolation modular_rank point_config",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

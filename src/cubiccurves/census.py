@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import io
 import csv
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .curve import _genus, _standard_facts, hodge_genus_bound, is_smooth_standard
 from .errors import DegreeTooSmall, GenusOutOfHodgeRange, InvariantViolation
@@ -70,8 +70,7 @@ def enumerate_families(d: int, g: int) -> tuple[DivisorClass, ...]:
     return _families_by_genus(d).get(g, ())
 
 
-@dataclass(frozen=True, slots=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     cls: DivisorClass
     d: int
     g: int
@@ -93,13 +92,10 @@ def _record_of(cls: DivisorClass, d: int, g: int) -> CensusRecord:
     if not (is_standard(cls) and is_smooth_standard(cls)):
         raise InvariantViolation(f"enumerated class {cls} is not a standard smooth-member class")
     facts = _standard_facts(cls, d, g)
-    normality = 0
-    for n, defect in enumerate(facts.defects, start=1):
-        if defect != 0:
-            break
-        normality = n
+    h1_ic1, h1_ic2, h1_ic3 = facts.defects
+    normality = 0 if h1_ic1 else 1 if h1_ic2 else 2 if h1_ic3 else 3
     verdict, kleppe = verdict_of(facts), kleppe_of(facts)
-    return CensusRecord(cls, d, g, facts.defects[2], facts.h2, normality, verdict,
+    return CensusRecord(cls, d, g, h1_ic3, facts.h2, normality, verdict,
                         dim_of(facts, verdict, kleppe), kleppe, d + g + 18)
 
 
@@ -134,11 +130,6 @@ CSV_COLUMNS = (
 )
 
 
-def _kleppe_text(k: KleppeVerdict) -> str:
-    tag = k.failed_hypothesis or k.range_tag
-    return f"{k.kind}[{tag}]" if tag else k.kind
-
-
 def census_rows(records):
     """The cells of each record, one row (a list) per record in CSV_COLUMNS order."""
     for r in records:
@@ -157,7 +148,7 @@ def census_rows(records):
             r.dim.kind,
             lo,
             hi,
-            _kleppe_text(r.kleppe),
+            str(r.kleppe),
         ]
 
 

@@ -5,6 +5,7 @@ json (byte-stable field order), csv.  Exit codes: 0 success, 1 usage or
 parse error, 2 precondition failure (invalid class for the operation),
 3 internal assertion failure.  Each subcommand is registered once, in
 _build_parser, with the runner that maps its parsed arguments to (text, code).
+Runners import the engine modules they use, so a command loads only those.
 """
 
 from __future__ import annotations
@@ -19,14 +20,9 @@ from dataclasses import asdict, astuple
 from functools import partial
 from pathlib import Path
 
-from .census import CSV_COLUMNS, _kleppe_text, census_csv, census_range, census_rows
 from .cohomology import cohomology
-from .curve import curve_facts, invariants, is_smooth_standard, normality_profile
 from .errors import DegeneratePoints, PreconditionError
 from .lattice import DivisorClass, Perm, reduce_to_standard
-from .obstruction import ObstructionVerdict, dim_of, gen_obstructed, kleppe_of, verdict_of
-from .oracle import h0_interpolation
-from .verify import run_checks
 
 class ClassParseError(Exception):
     def __init__(self, text: str, pos: int, message: str):
@@ -96,7 +92,7 @@ def _word_json(word) -> list:
     return out
 
 
-def _verdict_json(v: ObstructionVerdict) -> dict:
+def _verdict_json(v) -> dict:
     return {
         "kind": v.kind,
         "vanishing": list(v.vanishing),
@@ -127,6 +123,7 @@ def _cmd_reduce(cls: DivisorClass) -> dict:
 
 
 def _cmd_invariants(cls: DivisorClass) -> dict:
+    from .curve import invariants, is_smooth_standard
     std = reduce_to_standard(cls).standard
     d, g = invariants(cls)
     return {
@@ -144,6 +141,7 @@ def _cmd_cohomology(cls: DivisorClass) -> dict:
 
 
 def _cmd_normality(cls: DivisorClass) -> dict:
+    from .curve import normality_profile
     rep = normality_profile(cls)
     return {
         "class": str(cls),
@@ -157,6 +155,8 @@ def _cmd_normality(cls: DivisorClass) -> dict:
 
 
 def _cmd_classify(cls: DivisorClass) -> dict:
+    from .curve import curve_facts
+    from .obstruction import verdict_of
     facts = curve_facts(cls)
     payload = {"class": str(cls), "standard": str(facts.standard)}
     payload.update(_verdict_json(verdict_of(facts)))
@@ -164,6 +164,8 @@ def _cmd_classify(cls: DivisorClass) -> dict:
 
 
 def _cmd_hilbert_dim(cls: DivisorClass) -> dict:
+    from .curve import curve_facts
+    from .obstruction import dim_of, kleppe_of, verdict_of
     facts = curve_facts(cls)
     r = dim_of(facts, verdict_of(facts), kleppe_of(facts))
     return {
@@ -178,13 +180,15 @@ def _cmd_hilbert_dim(cls: DivisorClass) -> dict:
 
 
 def _cmd_kleppe(cls: DivisorClass) -> dict:
+    from .curve import curve_facts
+    from .obstruction import kleppe_of
     facts = curve_facts(cls)
     return {
         "class": str(cls),
         "standard": str(facts.standard),
         "d": facts.d,
         "g": facts.g,
-        "kleppe": asdict(kleppe_of(facts)),
+        "kleppe": kleppe_of(facts)._asdict(),
     }
 
 
@@ -211,7 +215,7 @@ def _record_json(r) -> dict:
         "verdict": r.verdict.kind,
         "rule": r.verdict.rule or "",
         "dim": _dim_json(r.dim),
-        "kleppe": _kleppe_text(r.kleppe),
+        "kleppe": str(r.kleppe),
         "dim_w": r.dim_w,
     }
 
@@ -321,10 +325,13 @@ def _run_class(args, build) -> tuple[str, int]:
 
 
 def _oracle_h0(args) -> tuple[str, int]:
+    from .oracle import h0_interpolation
     return _run_class(args, lambda cls: {"class": str(cls), "seed": args.seed, "h0": h0_interpolation(cls, args.seed)})
 
 
 def _gen_obstructed(args) -> tuple[str, int]:
+    from .curve import curve_facts
+    from .obstruction import gen_obstructed, verdict_of
     a, b = parse_class_text(args.dprime, 5)
     cls = gen_obstructed(args.k, (a, *b))
     facts = curve_facts(cls)
@@ -340,6 +347,7 @@ def _gen_obstructed(args) -> tuple[str, int]:
 
 
 def _census(args) -> tuple[str, int]:
+    from .census import CSV_COLUMNS, census_csv, census_range, census_rows
     records, summary = census_range(args.d_min, args.d_max, args.g_min, args.g_max)
     if args.format == "csv":
         return census_csv(records), 0
@@ -353,6 +361,7 @@ def _census(args) -> tuple[str, int]:
 
 
 def _verify_paper(args) -> tuple[str, int]:
+    from .verify import run_checks
     checks = run_checks()
     counts = {
         "passed": sum(c.status == "PASS" for c in checks),

@@ -17,6 +17,7 @@ computed when read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cohomology import _chi, cohomology, h0_ab
 from .errors import InvariantViolation, NonPositiveDegree, NotSmoothMember
@@ -65,8 +66,7 @@ def abnormality(c: DivisorClass, n: int) -> int:
     return cohomology(-(c + n * K)).h1
 
 
-@dataclass(frozen=True, slots=True)
-class CurveFacts:
+class CurveFacts(NamedTuple):
     """What the paper's criteria read off a smooth-member class C, with L = C + 3K.
 
     For n = 1, 2, 3, h0s[n-1] = h0(-(C + nK)), h2s[n-1] = h2(-(C + nK)) =

@@ -16,7 +16,7 @@ dimension h0(N) = 4d + h2(S,-L), off h0(N) and the two verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cohomology import h0_ab
 from .curve import CurveFacts, curve_facts
@@ -43,8 +43,7 @@ def restriction_surjective(delta: DivisorClass, e: DivisorClass) -> bool:
     return _restriction_onto(delta.a, delta.b, e.a, e.b, deg + 1 if deg >= 0 else 0)
 
 
-@dataclass(frozen=True, slots=True)
-class ObstructionVerdict:
+class ObstructionVerdict(NamedTuple):
     kind: str  # "Unobstructed" | "Obstructed" | "Undetermined"
     vanishing: tuple[str, ...] = ()
     witness_line: DivisorClass | None = None
@@ -84,18 +83,15 @@ def verdict_of(facts: CurveFacts) -> ObstructionVerdict:
     if facts.h2 == 0:
         return _UNOBSTRUCTED_H2
     # With h1 and h2 both nonzero, L+K is effective (h0(L+K) = h2 > 0) and
-    # L is not nef.  facts.pairings is computed on each read, so read it once.
-    pairings = facts.pairings
-    if min(pairings) >= 0:
+    # L is not nef: some line meets L negatively, in m = -L.E.
+    negative = [(e, -p) for e, p in zip(lines27(), facts.pairings) if p < 0]
+    if not negative:
         raise InvariantViolation(f"L = C+3K is nef while h1(-L) and h2(-L) are nonzero for {facts.standard}")
     # (a; b) = L + K = C + 4K, and Delta = L + K - 2mE below.  As L.E = -m and K.E = E.E = -1,
     # Delta.E = (L + K).E - 2m E.E = -m - 1 + 2m = m - 1, so the restriction's target is m.
     a, b = facts.standard.a - 12, [x - 4 for x in facts.standard.b]
     witnesses: list[tuple[DivisorClass, int, str]] = []
-    for e, pairing in zip(lines27(), pairings):
-        m = -pairing
-        if m <= 0:
-            continue
+    for e, m in negative:
         if m > 3:
             raise InvariantViolation(f"fixed multiplicity {m} > 3 for smooth member {facts.standard}")
         if m == 1:
@@ -138,8 +134,7 @@ def flag_dim(c: DivisorClass) -> int:
     return facts.d + facts.g + 18
 
 
-@dataclass(frozen=True, slots=True)
-class HilbertDimResult:
+class HilbertDimResult(NamedTuple):
     kind: str  # "exact" | "interval"
     method: str  # "smooth-point" | "theorem-1.1" | "prop-4.5" | "theorem-4.3"
     value: int | None = None
@@ -196,12 +191,16 @@ def dim_of(facts: CurveFacts, verdict: ObstructionVerdict, kleppe: KleppeVerdict
     return _interval(4 * d, n, "theorem-4.3")
 
 
-@dataclass(frozen=True, slots=True)
-class KleppeVerdict:
+class KleppeVerdict(NamedTuple):
     kind: str  # "NotApplicable" | "ProvenTheorem1" | "KnownRange" | "Open"
     failed_hypothesis: str | None = None
     dim: int | None = None
     range_tag: str | None = None
+
+    def __str__(self) -> str:
+        """The census cell: the kind, tagged with the failed hypothesis or the range."""
+        tag = self.failed_hypothesis or self.range_tag
+        return f"{self.kind}[{tag}]" if tag else self.kind
 
 
 # Every Kleppe verdict but ProvenTheorem1 carries no number, so it is shared too.

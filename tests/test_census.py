@@ -14,7 +14,6 @@ import pytest
 from cubiccurves import census, cli
 from cubiccurves.census import (
     CSV_COLUMNS,
-    _kleppe_text,
     _standard_coefficients,
     census_csv,
     census_range,
@@ -195,7 +194,7 @@ def test_census_window_above_genus_zero():
     ],
 )
 def test_kleppe_text_every_verdict_shape(verdict, text):
-    assert _kleppe_text(verdict) == text
+    assert str(verdict) == text
 
 
 def test_census_small_block():
@@ -296,3 +295,17 @@ def test_census_d10_40_csv_pinned(capsys):
     out = capsys.readouterr().out
     assert out.count("\n") == 28588
     assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_D10_40_CSV_SHA256
+
+
+def test_every_cli_census_builds_every_record(capsys, monkeypatch):
+    # no record outlives a cli.run call: a second census in the same process
+    # makes one facts pass per record again, as the benchmark's runs assume
+    calls = []
+    facts = census._standard_facts
+    monkeypatch.setattr(census, "_standard_facts", lambda *a: calls.append(a) or facts(*a))
+    census._families_by_genus.cache_clear()
+    argv = ["census", "--d-min", "10", "--d-max", "16", "--g-min", "0", "--g-max", "100", "--format", "csv"]
+    for _ in range(2):
+        calls.clear()
+        assert run(argv) == 0
+        assert len(calls) == capsys.readouterr().out.count("\n") - 1 == 342

@@ -312,3 +312,35 @@ def test_cold_import_loads_no_thread_pool():
     proc = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+FOOTPRINT = """
+import importlib, sys
+sys.path.insert(0, sys.argv[1])
+from cubiccurves import cli
+assert cli.run(["cohomology", "12;4,4,4,4,2,2"]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "cubiccurves")
+want = ["cubiccurves", "cubiccurves.cli", "cubiccurves.cohomology", "cubiccurves.errors", "cubiccurves.lattice"]
+assert loaded == want, loaded
+import cubiccurves
+for name in cubiccurves.__all__:
+    home = importlib.import_module("cubiccurves." + cubiccurves._EXPORTS[name])
+    obj = getattr(cubiccurves, name)
+    assert obj is vars(home)[name], name
+    assert getattr(obj, "__module__", home.__name__) == home.__name__, name
+assert set(cubiccurves.__all__) <= set(dir(cubiccurves))
+try:
+    cubiccurves.no_such_name
+except AttributeError as e:
+    print(e)
+"""
+
+
+def test_class_command_imports_only_its_modules():
+    # a cohomology call loads cli, errors, lattice and cohomology, and no
+    # census, curve, obstruction, oracle or verify; the package re-exports
+    # every public name from its home module when the name is first read
+    src = str(Path(cubiccurves.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, src], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "module 'cubiccurves' has no attribute 'no_such_name'"

@@ -51,8 +51,8 @@ CASES = {
     # of (16, 29) 66, which breaks Riemann-Roch h0(N) = d + g + 18 +
     # h1(I_C(3)) = 65 inside verify-paper
     "normal-bundle-riemann-roch": (
-        "import dataclasses; ob = importlib.import_module('cubiccurves.obstruction'); facts = ob.curve_facts;"
-        " ob.curve_facts = lambda c: dataclasses.replace(f := facts(c), h2=f.h2 + 1)",
+        "ob = importlib.import_module('cubiccurves.obstruction'); facts = ob.curve_facts;"
+        " ob.curve_facts = lambda c: (f := facts(c))._replace(h2=f.h2 + 1)",
         ["verify-paper"],
         "h0(N) = ",
     ),
@@ -60,8 +60,8 @@ CASES = {
     # on census facts, the (10, 0) record would read an interval [39, 40],
     # which starts below 4d = 40
     "census-normal-bundle-riemann-roch": (
-        "import dataclasses; ce = importlib.import_module('cubiccurves.census'); facts = ce._standard_facts;"
-        " ce._standard_facts = lambda *a: dataclasses.replace(f := facts(*a), h2=f.h2 + 1)",
+        "ce = importlib.import_module('cubiccurves.census'); facts = ce._standard_facts;"
+        " ce._standard_facts = lambda *a: (f := facts(*a))._replace(h2=f.h2 + 1)",
         ["census", "--d-min", "10", "--d-max", "10", "--g-min", "0", "--g-max", "0"],
         "h0(N) = 41 but d+g+18+h1(I_C(3)) = 40",
     ),
