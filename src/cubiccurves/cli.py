@@ -16,7 +16,7 @@ import io
 import json
 import re
 import sys
-from dataclasses import asdict, astuple
+from collections.abc import Sequence
 from functools import partial
 from pathlib import Path
 
@@ -283,7 +283,7 @@ def _render_payloads(payloads: list[dict], fmt: str, batch: bool) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def _aligned_table(header: list[str], rows) -> str:
+def _aligned_table(header: Sequence[str], rows) -> str:
     rows = [[str(cell) for cell in row] for row in rows]
     widths = [len(h) for h in header]
     for row in rows:
@@ -294,7 +294,7 @@ def _aligned_table(header: list[str], rows) -> str:
     return "\n".join([fmt_row(header)] + [fmt_row(r) for r in rows]) + "\n"
 
 
-def _render_report(fmt: str, doc, header: list[str], rows, tail: str) -> str:
+def _render_report(fmt: str, doc, header: Sequence[str], rows, tail: str) -> str:
     """A whole-run report (census, verify-paper): doc() as indented JSON, header
     and rows as CSV, or header and rows as an aligned table followed by tail.
     doc is called only for JSON."""
@@ -361,7 +361,7 @@ def _census(args) -> tuple[str, int]:
 
 
 def _verify_paper(args) -> tuple[str, int]:
-    from .verify import run_checks
+    from .verify import CheckResult, run_checks
     checks = run_checks()
     counts = {
         "passed": sum(c.status == "PASS" for c in checks),
@@ -369,8 +369,8 @@ def _verify_paper(args) -> tuple[str, int]:
         "flagged": sum(c.status == "FLAGGED" for c in checks),
     }
     tail = f"\n{len(checks)} checks: {counts['passed']} passed, {counts['failed']} failed, {counts['flagged']} flagged\n"
-    text = _render_report(args.format, lambda: {"checks": [asdict(c) for c in checks], **counts},
-                          ["check_id", "status", "detail"], [astuple(c) for c in checks], tail)
+    text = _render_report(args.format, lambda: {"checks": [c._asdict() for c in checks], **counts},
+                          CheckResult._fields, checks, tail)
     return text, 0 if counts["failed"] == 0 else 1
 
 

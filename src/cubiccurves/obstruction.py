@@ -16,6 +16,7 @@ dimension h0(N) = 4d + h2(S,-L), off h0(N) and the two verdicts.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from .cohomology import h0_ab
@@ -254,7 +255,8 @@ def gen_obstructed(k: int, dprime: tuple[int, int, int, int, int, int] = (0, 0, 
     """
     if not 0 <= k <= 2:
         raise InvalidK(f"k must be 0, 1 or 2, got {k}")
-    a, *b = (int(x) for x in dprime)
+    # operator.index, not int: a float or a digit string is a TypeError, not truncated
+    a, *b = map(operator.index, dprime)
     if len(b) != 5:
         raise DprimeNotNef(f"seed needs six entries (a;b1..b5), got {dprime}")
     if not all(b[i] >= b[i + 1] for i in range(4)) or b[4] < 0 or a < b[0] + b[1] + b[2]:

@@ -1,5 +1,6 @@
 """CLI surface: parsing, exit codes, formats, batch mode."""
 
+import csv
 import hashlib
 import io
 import json
@@ -171,6 +172,33 @@ def test_verify_paper_cli(capsys):
     statuses = [r.split(",")[1] for r in rows[1:]]
     assert statuses.count("FAIL") == 0
     assert statuses.count("FLAGGED") == 1
+
+
+def test_verify_paper_failure_exits_1(capsys, monkeypatch):
+    # h0 read one too high inside verify: the spot values and the flagged
+    # family's engine values both disagree with their quoted values
+    import cubiccurves.verify as verify
+
+    h0 = verify.h0
+    monkeypatch.setattr(verify, "h0", lambda d: h0(d) + 1)
+    assert run(["verify-paper", "--format", "csv"]) == 1
+    rows = {r[0]: r[1:] for r in csv.reader(io.StringIO(capsys.readouterr().out))}
+    assert rows["engine-spot-values"][0] == "FAIL"
+    engine = [2 * lam + 7 for lam in range(9)]
+    derived = [2 * lam + 6 for lam in range(9)]
+    assert rows["obstruction-space-deg-2lam28"] == ["FAIL", f"engine gave {engine}, derived value is {derived}"]
+    assert [s for s, _ in rows.values()].count("FAIL") == 2
+
+
+def test_verify_paper_flagged_row_runs_the_oracle(monkeypatch):
+    # the oracle reading one too high at lam = 8 alone turns the flagged row FAIL
+    import cubiccurves.verify as verify
+
+    oracle, last = verify.h0_interpolation, verify._ex_even_deg(8) + 4 * verify.K
+    monkeypatch.setattr(verify, "h0_interpolation", lambda c, seed: oracle(c, seed) + (c == last))
+    (row,) = [r for r in verify.run_checks() if r.check_id == "obstruction-space-deg-2lam28"]
+    engine = [2 * lam + 6 for lam in range(9)]
+    assert row == ("obstruction-space-deg-2lam28", "FAIL", f"oracle gave {engine[:8] + [23]}, engine gave {engine}")
 
 
 def test_oracle_h0_subcommand(capsys):
