@@ -12,7 +12,6 @@ runs in one thread, because a thread pool made it no faster.
 from __future__ import annotations
 
 import io
-import csv
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -154,6 +153,7 @@ def census_rows(records):
 
 def census_csv(records) -> str:
     """The fixed-column CSV payload for a sequence of census records."""
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS.split(","))

@@ -5,15 +5,13 @@ json (byte-stable field order), csv.  Exit codes: 0 success, 1 usage or
 parse error, 2 precondition failure (invalid class for the operation),
 3 internal assertion failure.  Each subcommand is registered once, in
 _build_parser, with the runner that maps its parsed arguments to (text, code).
-Runners import the engine modules they use, so a command loads only those.
+Runners and renderers import what they use, so a command loads only that.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import re
 import sys
 from collections.abc import Sequence
@@ -230,6 +228,7 @@ def _flat(payload: dict, prefix: str = "") -> list[tuple[str, str]]:
         if isinstance(v, dict):
             out.extend(_flat(v, prefix=f"{key}."))
         elif isinstance(v, (list, tuple)):
+            import json  # a dict in a list is written as compact JSON
             out.append((key, " ".join(json.dumps(x, separators=(",", ":")) if isinstance(x, dict) else str(x) for x in v)))
         elif v is None:
             out.append((key, ""))
@@ -239,6 +238,7 @@ def _flat(payload: dict, prefix: str = "") -> list[tuple[str, str]]:
 
 
 def _csv_rows(rows: list[list[str]]) -> str:
+    import csv
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
@@ -274,6 +274,7 @@ def _render_payloads(payloads: list[dict], fmt: str, batch: bool) -> str:
     if not payloads:  # a --stdin batch of blank lines prints nothing in every format
         return ""
     if fmt == "json":
+        import json
         if batch:
             return "".join(json.dumps(p, separators=(",", ":")) + "\n" for p in payloads)
         return json.dumps(payloads[0], indent=2) + "\n"
@@ -299,6 +300,7 @@ def _render_report(fmt: str, doc, header: Sequence[str], rows, tail: str) -> str
     and rows as CSV, or header and rows as an aligned table followed by tail.
     doc is called only for JSON."""
     if fmt == "json":
+        import json
         return json.dumps(doc(), indent=2) + "\n"
     if fmt == "csv":
         return _csv_rows([header, *rows])

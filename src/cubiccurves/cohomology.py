@@ -16,7 +16,7 @@ validates h0 independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantViolation, NotEffective
 from .lattice import K, DivisorClass, line_pairings, lines27
@@ -106,8 +106,7 @@ def h0(d: DivisorClass) -> int:
     return h0_ab(d.a, d.b)
 
 
-@dataclass(frozen=True, slots=True)
-class CohomologyTriple:
+class CohomologyTriple(NamedTuple):
     h0: int
     h1: int
     h2: int
@@ -123,8 +122,7 @@ def cohomology(d: DivisorClass) -> CohomologyTriple:
     return CohomologyTriple(h0=n0, h1=n1, h2=n2, chi=chi)
 
 
-@dataclass(frozen=True, slots=True)
-class ZariskiDecomposition:
+class ZariskiDecomposition(NamedTuple):
     """D = nef_part + sum(mult * line) with the fixed lines pairwise disjoint."""
 
     nef_part: DivisorClass

@@ -16,7 +16,6 @@ computed when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cohomology import _chi, cohomology, h0_ab
@@ -123,8 +122,7 @@ def _standard_facts(std: DivisorClass, d: int, g: int) -> CurveFacts:
     return CurveFacts(std, d, g, tuple(h0s), tuple(h2s), tuple(h1s), h2)
 
 
-@dataclass(frozen=True, slots=True)
-class CurveReport:
+class CurveReport(NamedTuple):
     cls: DivisorClass
     degree: int
     genus: int

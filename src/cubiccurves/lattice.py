@@ -20,23 +20,49 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
 class DivisorClass:
-    """A divisor class (a; b1..b6), i.e. a*l - sum(bi*ei)."""
+    """A divisor class (a; b1..b6), i.e. a*l - sum(bi*ei).
 
+    An immutable value, written by hand because importing dataclasses also
+    imports inspect, which every CLI call would pay for at start-up: a field
+    cannot be assigned or deleted, two classes are equal when their
+    coefficients are, the hash is hash((a, b)), and there is no order.
+    """
+
+    __slots__ = ("a", "b")
     a: int
     b: tuple[int, int, int, int, int, int]
 
-    def __post_init__(self) -> None:
-        if len(self.b) != 6:
+    def __init__(self, a: int, b: tuple[int, ...]) -> None:
+        if len(b) != 6:
             raise ValueError("a divisor class needs exactly six b-coefficients")
         # operator.index, not int: a float or a digit string is a TypeError, not truncated or split
-        object.__setattr__(self, "a", operator.index(self.a))
-        object.__setattr__(self, "b", tuple(map(operator.index, self.b)))
+        object.__setattr__(self, "a", operator.index(a))
+        object.__setattr__(self, "b", tuple(map(operator.index, b)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return DivisorClass, (self.a, self.b)
+
+    def __eq__(self, other):
+        if other.__class__ is not DivisorClass:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"DivisorClass(a={self.a!r}, b={self.b!r})"
 
     @classmethod
     def of(cls, a: int, *b: int) -> "DivisorClass":
@@ -50,9 +76,13 @@ class DivisorClass:
         return self.dot(self)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
+        if other.__class__ is not DivisorClass:
+            return NotImplemented
         return DivisorClass(self.a + other.a, tuple(map(operator.add, self.b, other.b)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
+        if other.__class__ is not DivisorClass:
+            return NotImplemented
         return DivisorClass(self.a - other.a, tuple(map(operator.sub, self.b, other.b)))
 
     def __neg__(self) -> "DivisorClass":
@@ -147,28 +177,26 @@ def conics27() -> tuple[DivisorClass, ...]:
 # Weyl-group reduction to standard form.
 
 
-@dataclass(frozen=True, slots=True)
-class Perm:
+class Perm(NamedTuple("Perm", [("sigma", tuple[int, int, int, int, int, int])])):
     """Coefficient shuffle: slot i receives the old coefficient sigma[i-1] (1-based)."""
 
-    sigma: tuple[int, int, int, int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if sorted(self.sigma) != [1, 2, 3, 4, 5, 6]:
-            raise ValueError(f"not a permutation of 1..6: {self.sigma}")
+    def __new__(cls, sigma: tuple[int, int, int, int, int, int]) -> "Perm":
+        if sorted(sigma) != [1, 2, 3, 4, 5, 6]:
+            raise ValueError(f"not a permutation of 1..6: {sigma}")
+        return super().__new__(cls, sigma)
 
 
-@dataclass(frozen=True, slots=True)
-class Cremona:
+class Cremona(NamedTuple("Cremona", [("i", int), ("j", int), ("k", int)])):
     """Quadratic transformation based at the points i, j, k (1-based, distinct)."""
 
-    i: int
-    j: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len({self.i, self.j, self.k}) != 3 or not all(1 <= x <= 6 for x in (self.i, self.j, self.k)):
-            raise ValueError(f"Cremona needs three distinct indices in 1..6: {(self.i, self.j, self.k)}")
+    def __new__(cls, i: int, j: int, k: int) -> "Cremona":
+        if len({i, j, k}) != 3 or not all(1 <= x <= 6 for x in (i, j, k)):
+            raise ValueError(f"Cremona needs three distinct indices in 1..6: {(i, j, k)}")
+        return super().__new__(cls, i, j, k)
 
 
 WeylGenerator = Perm | Cremona
@@ -210,8 +238,7 @@ _IDENTITY = (1, 2, 3, 4, 5, 6)
 _CREMONA_123 = Cremona(1, 2, 3)
 
 
-@dataclass(frozen=True, slots=True)
-class StandardReduction:
+class StandardReduction(NamedTuple):
     input: DivisorClass
     standard: DivisorClass
     word: WeylWord

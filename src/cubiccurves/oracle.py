@@ -46,9 +46,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import DegeneratePoints, OracleTooLarge
 from .lattice import DivisorClass
@@ -169,8 +169,7 @@ def modular_rank(rows) -> int:
     return _eliminate([_pack([x % P for x in row], nbytes) for row in rows], cols, nbytes)
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(NamedTuple):
     seed: int
     points: tuple[tuple[int, int], ...]
 

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import cubiccurves
-from cubiccurves.cli import parse_class, parse_class_text, run
+from cubiccurves.cli import CLASS_COMMANDS, parse_class, parse_class_text, run
 from cubiccurves.lattice import DivisorClass
 
 import pytest
@@ -364,6 +364,17 @@ except AttributeError as e:
 """
 
 
+# which of four costly stdlib modules a fresh interpreter has loaded after one CLI call
+STDLIB_FOOTPRINT = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from cubiccurves import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[2:])
+print(code, *[m for m in ("dataclasses", "inspect", "json", "csv") if m in sys.modules])
+"""
+
+
 def test_class_command_imports_only_its_modules():
     # a cohomology call loads cli, errors, lattice and cohomology, and no
     # census, curve, obstruction, oracle or verify; the package re-exports
@@ -372,3 +383,16 @@ def test_class_command_imports_only_its_modules():
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, src], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "module 'cubiccurves' has no attribute 'no_such_name'"
+    # no command loads dataclasses or inspect; json and csv load only for their format
+    census = ["census", "--d-min", "10", "--d-max", "12", "--g-min", "0", "--g-max", "100"]
+    cases = [([name, "12;4,4,4,4,2,2"], "0") for name in CLASS_COMMANDS]
+    cases += [
+        (["cohomology", "12;4,4,4,4,2,2", "--format", "json"], "0 json"),
+        (["cohomology", "12;4,4,4,4,2,2", "--format", "csv"], "0 csv"),
+        (census + ["--format", "csv"], "0 csv"),
+        (census + ["--format", "json"], "0 json"),
+    ]
+    for argv, loaded in cases:
+        proc = subprocess.run([sys.executable, "-c", STDLIB_FOOTPRINT, src, *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.stdout.strip(), proc.stderr) == (loaded, ""), argv

@@ -1,5 +1,6 @@
 """Intersection pairing, the 27 lines/conics, and Weyl reduction."""
 
+import operator
 import random
 
 import pytest
@@ -49,6 +50,17 @@ def test_arithmetic_ops():
     assert -(-c) == c
     assert 2 * c == c + c == c * 2
     assert str(c) == "12;4,4,4,4,2,2"
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+def test_arithmetic_with_a_non_class_operand_is_a_type_error(op):
+    # Python's own "unsupported operand" error, not an AttributeError on other.a
+    c = DivisorClass(1, (0,) * 6)
+    for other in (1, (1, (0,) * 6)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(c, other)
+        with pytest.raises(TypeError):
+            op(other, c)
 
 
 def test_coefficients_must_be_integers():

@@ -1,19 +1,25 @@
-"""The five value types a census record is built from stay immutable values.
+"""The package's value types stay immutable values.
 
-CurveFacts, ObstructionVerdict, HilbertDimResult, KleppeVerdict and
-CensusRecord are NamedTuples: a field cannot be assigned, the field order is
-pinned (the CLI's JSON follows it through _asdict), two census runs give
-equal records with equal hashes, and CurveFacts.pairings is the line pairing
-of L = C + 3K.
+Every record type is a NamedTuple: a field cannot be assigned, the field
+order is pinned (the CLI's JSON follows it through _asdict), two census runs
+give equal records with equal hashes, and CurveFacts.pairings is the line
+pairing of L = C + 3K.  DivisorClass is a hand-written immutable class with
+the contract a frozen dataclass gave it: its repr, hash((a, b)), equality
+with classes only, no order, and pickle and copy round-trips.
 """
+
+import copy
+import pickle
 
 import pytest
 
 from cubiccurves import census
 from cubiccurves.census import CensusRecord, census_range
-from cubiccurves.curve import CurveFacts, curve_facts
-from cubiccurves.lattice import K, line_pairings
+from cubiccurves.cohomology import CohomologyTriple, ZariskiDecomposition, cohomology, fixed_part
+from cubiccurves.curve import CurveFacts, CurveReport, curve_facts, normality_profile
+from cubiccurves.lattice import K, Cremona, DivisorClass, Perm, StandardReduction, line_pairings, reduce_to_standard
 from cubiccurves.obstruction import HilbertDimResult, KleppeVerdict, ObstructionVerdict
+from cubiccurves.oracle import PointConfig, point_config
 
 FIELDS = {
     CurveFacts: ("standard", "d", "g", "h0s", "h2s", "defects", "h2"),
@@ -21,6 +27,13 @@ FIELDS = {
     HilbertDimResult: ("kind", "method", "value", "lo", "hi"),
     KleppeVerdict: ("kind", "failed_hypothesis", "dim", "range_tag"),
     CensusRecord: ("cls", "d", "g", "h1_ic3", "h2", "normality", "verdict", "dim", "kleppe", "dim_w"),
+    CohomologyTriple: ("h0", "h1", "h2", "chi"),
+    ZariskiDecomposition: ("nef_part", "fixed"),
+    StandardReduction: ("input", "standard", "word"),
+    CurveReport: ("cls", "degree", "genus", "abnormality", "s_invariant"),
+    PointConfig: ("seed", "points"),
+    Perm: ("sigma",),
+    Cremona: ("i", "j", "k"),
 }
 
 
@@ -31,7 +44,10 @@ def _fresh_census(d_max: int):
 
 def _values(r: CensusRecord):
     return {CensusRecord: r, ObstructionVerdict: r.verdict, HilbertDimResult: r.dim,
-            KleppeVerdict: r.kleppe, CurveFacts: curve_facts(r.cls)}
+            KleppeVerdict: r.kleppe, CurveFacts: curve_facts(r.cls), CohomologyTriple: cohomology(r.cls),
+            ZariskiDecomposition: fixed_part(r.cls), StandardReduction: reduce_to_standard(r.cls),
+            CurveReport: normality_profile(r.cls), PointConfig: point_config(0),
+            Perm: Perm((2, 1, 3, 4, 5, 6)), Cremona: Cremona(1, 2, 3)}
 
 
 @pytest.mark.parametrize("kind", list(FIELDS), ids=lambda t: t.__name__)
@@ -60,3 +76,40 @@ def test_pairings_are_the_line_pairings_of_c_plus_3k():
         facts = curve_facts(r.cls)
         adjoint = facts.standard + 3 * K
         assert facts.pairings == line_pairings(adjoint.a, adjoint.b)
+
+
+C = DivisorClass(12, (4, 4, 4, 4, 2, 2))
+
+
+def test_divisor_class_hash_and_repr():
+    assert hash(C) == hash((C.a, C.b)) == hash((12, (4, 4, 4, 4, 2, 2)))
+    assert repr(C) == "DivisorClass(a=12, b=(4, 4, 4, 4, 2, 2))"
+
+
+@pytest.mark.parametrize("field", ["a", "b"])
+def test_divisor_class_fields_cannot_be_assigned_or_deleted(field):
+    with pytest.raises(AttributeError):
+        setattr(C, field, 0)
+    with pytest.raises(AttributeError):
+        delattr(C, field)
+    assert (C.a, C.b) == (12, (4, 4, 4, 4, 2, 2))
+
+
+def test_divisor_class_takes_no_new_attribute():
+    with pytest.raises(AttributeError):
+        C.extra = 0
+
+
+def test_divisor_class_equals_classes_only_and_has_no_order():
+    assert C == DivisorClass(12, [4, 4, 4, 4, 2, 2])
+    assert C != (C.a, C.b)
+    assert C != DivisorClass(12, (4, 4, 4, 4, 2, 1))
+    with pytest.raises(TypeError):
+        C < C
+
+
+def test_divisor_class_pickle_and_copy_round_trip():
+    for twin in (pickle.loads(pickle.dumps(C)), copy.copy(C), copy.deepcopy(C)):
+        assert twin == C and type(twin) is DivisorClass
+        assert (twin.a, twin.b) == (C.a, C.b)
+    assert pickle.loads(pickle.dumps(reduce_to_standard(DivisorClass(2, (1, 1, 1, 0, 0, 0))))).word == (Cremona(1, 2, 3),)
