@@ -25,10 +25,10 @@ _EXPORTS = {
         " require_smooth_member",
         "errors": "DegeneratePoints DegreeTooSmall DprimeNotNef GenusOutOfHodgeRange InvalidK InvariantViolation"
         " NonPositiveDegree NotALine NotEffective NotSmoothMember OracleTooLarge PreconditionError",
-        "lattice": "Cremona DivisorClass K Perm StandardReduction ZERO apply_generator apply_word canonical"
-        " conics27 degree intersect is_standard lines27 reduce_to_standard",
-        "obstruction": "HilbertDimResult KleppeVerdict ObstructionVerdict classify flag_dim gen_obstructed"
-        " h0_normal h1_normal hilbert_dim kleppe_verdict restriction_surjective",
+        "lattice": "Cremona DivisorClass K Perm StandardReduction apply_generator apply_word conics27"
+        " degree is_standard lines27 reduce_to_standard",
+        "obstruction": "HilbertDimResult KleppeVerdict ObstructionVerdict classify gen_obstructed"
+        " h0_normal hilbert_dim kleppe_verdict restriction_surjective",
         "oracle": "PointConfig exact_rank h0_interpolation modular_rank point_config",
     }.items()
     for name in names.split()

@@ -62,7 +62,7 @@ def _families_by_genus(d: int) -> dict[int, tuple[DivisorClass, ...]]:
 
 
 def enumerate_families(d: int, g: int) -> tuple[DivisorClass, ...]:
-    """All standard smooth-member classes of the given degree and genus,
+    """All families (standard, b6 >= 0, a > b1) of the given degree and genus,
     sorted lexicographically on (a, b1..b6); hodge_genus_bound rejects d <= 0."""
     if not 0 <= g <= hodge_genus_bound(d):
         raise GenusOutOfHodgeRange(f"genus {g} outside [0, {hodge_genus_bound(d)}] for degree {d}")

@@ -16,7 +16,6 @@ import re
 import sys
 from collections.abc import Sequence
 from functools import partial
-from pathlib import Path
 
 from .cohomology import cohomology
 from .errors import DegeneratePoints, PreconditionError
@@ -445,7 +444,8 @@ def run(argv=None) -> int:
         return 3
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as f:
+                f.write(text)
         except OSError as e:
             print(f"error: cannot write {args.out}: {e.strerror or e}", file=sys.stderr)
             return 1

@@ -3,7 +3,8 @@
 A class C cuts out curves of degree d = -K.C and arithmetic genus
 g = 1 + (C.C + K.C)/2 = chi(C) - d in P^3, since Riemann-Roch gives
 chi(C) = d + g (h0(C) for a smooth member).  |C| contains a smooth
-connected member exactly when the standard form has a > b1 and b6 >= 0.
+connected member exactly when the standard form has a > b1 and b6 >= 0,
+or is the line (0; 0^5, -1) or the conic class (1; 1, 0^5).
 The n-normality defect of such a curve is h1 of the ideal sheaf twisted by
 n, which lives on the surface as h1(S, -(C + nK)).
 
@@ -42,13 +43,18 @@ def hodge_genus_bound(d: int) -> int:
     return 1 + (d - 3) * d // 2
 
 
+# The standard forms of the 27 lines and of the 27 conic classes: a line is a
+# smooth rational curve, and so is the general conic of its pencil.
+_LINE_AND_CONIC = ((0, (0, 0, 0, 0, 0, -1)), (1, (1, 0, 0, 0, 0, 0)))
+
+
 def is_smooth_standard(s: DivisorClass) -> bool:
     """For a class s in standard form: does |s| contain a smooth connected curve?"""
-    return s.a > s.b[0] and s.b[5] >= 0
+    return s.a > s.b[0] and s.b[5] >= 0 or (s.a, s.b) in _LINE_AND_CONIC
 
 
 def has_smooth_member(c: DivisorClass) -> bool:
-    """True when |C| contains a smooth connected curve (standard a > b1, b6 >= 0)."""
+    """True when |C| contains a smooth connected curve (is_smooth_standard on its standard form)."""
     return is_smooth_standard(reduce_to_standard(c).standard)
 
 

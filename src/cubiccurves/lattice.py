@@ -89,6 +89,10 @@ class DivisorClass:
         return DivisorClass(-self.a, tuple([-x for x in self.b]))
 
     def __mul__(self, n: int) -> "DivisorClass":
+        try:
+            n = operator.index(n)
+        except TypeError:
+            return NotImplemented
         return DivisorClass(self.a * n, tuple([x * n for x in self.b]))
 
     __rmul__ = __mul__
@@ -97,19 +101,7 @@ class DivisorClass:
         return f"{self.a};{','.join(str(x) for x in self.b)}"
 
 
-ZERO = DivisorClass(0, (0, 0, 0, 0, 0, 0))
-
-
-def canonical() -> DivisorClass:
-    """The canonical class K = (-3;-1,...,-1)."""
-    return DivisorClass(-3, (-1, -1, -1, -1, -1, -1))
-
-
-K = canonical()
-
-
-def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
-    return d1.dot(d2)
+K = DivisorClass(-3, (-1, -1, -1, -1, -1, -1))
 
 
 def degree(d: DivisorClass) -> int:
@@ -177,6 +169,11 @@ def conics27() -> tuple[DivisorClass, ...]:
 # Weyl-group reduction to standard form.
 
 
+def _checked_make(cls, iterable):
+    """_make, and _replace through it, build through the checked __new__."""
+    return cls(*iterable)
+
+
 class Perm(NamedTuple("Perm", [("sigma", tuple[int, int, int, int, int, int])])):
     """Coefficient shuffle: slot i receives the old coefficient sigma[i-1] (1-based)."""
 
@@ -186,6 +183,8 @@ class Perm(NamedTuple("Perm", [("sigma", tuple[int, int, int, int, int, int])]))
         if sorted(sigma) != [1, 2, 3, 4, 5, 6]:
             raise ValueError(f"not a permutation of 1..6: {sigma}")
         return super().__new__(cls, sigma)
+
+    _make = classmethod(_checked_make)
 
 
 class Cremona(NamedTuple("Cremona", [("i", int), ("j", int), ("k", int)])):
@@ -197,6 +196,8 @@ class Cremona(NamedTuple("Cremona", [("i", int), ("j", int), ("k", int)])):
         if len({i, j, k}) != 3 or not all(1 <= x <= 6 for x in (i, j, k)):
             raise ValueError(f"Cremona needs three distinct indices in 1..6: {(i, j, k)}")
         return super().__new__(cls, i, j, k)
+
+    _make = classmethod(_checked_make)
 
 
 WeylGenerator = Perm | Cremona

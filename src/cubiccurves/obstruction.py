@@ -107,11 +107,6 @@ def verdict_of(facts: CurveFacts) -> ObstructionVerdict:
     return _UNDETERMINED
 
 
-def h1_normal(c: DivisorClass) -> int:
-    """h1 of the normal bundle of a smooth member: h0(S, C + 4K)."""
-    return curve_facts(c).h2
-
-
 def _h0_normal(facts: CurveFacts) -> int:
     """h0(N) = 4d + h2 of the class behind facts.  For d > 9, h0(-L) = 0 and
     Riemann-Roch gives h2 - h1(-L) = chi(-L) = g - 3d + 18, which is checked."""
@@ -127,12 +122,6 @@ def _h0_normal(facts: CurveFacts) -> int:
 def h0_normal(c: DivisorClass) -> int:
     """h0 of the normal bundle, 4d + h0(S, C + 4K), off one curve_facts pass."""
     return _h0_normal(curve_facts(c))
-
-
-def flag_dim(c: DivisorClass) -> int:
-    """Dimension of the incidence family {(curve, cubic)}: d + g + 18."""
-    facts = curve_facts(c)
-    return facts.d + facts.g + 18
 
 
 class HilbertDimResult(NamedTuple):

@@ -24,14 +24,13 @@ from .cohomology import (
     is_effective,
     is_nef,
 )
-from .curve import abnormality, has_smooth_member, invariants, normality_profile
+from .curve import abnormality, curve_facts, has_smooth_member, invariants, normality_profile
 from .census import enumerate_families
-from .lattice import K, DivisorClass, canonical, conics27, is_standard, lines27
+from .lattice import K, DivisorClass, conics27, is_standard, lines27
 from .obstruction import (
     classify,
     gen_obstructed,
     h0_normal,
-    h1_normal,
     hilbert_dim,
     kleppe_verdict,
 )
@@ -71,10 +70,9 @@ def _eq(check_id: str, compute, want) -> CheckResult:
 
 
 def _canonical_class() -> CheckResult:
-    k = canonical()
-    ok = k == D(-3, -1, -1, -1, -1, -1, -1) and k.square == 3
-    ok = ok and all((-k).dot(line) == 1 for line in lines27())
-    return _result("canonical-class", ok, f"K={k}, K.K={k.square}")
+    ok = K == D(-3, -1, -1, -1, -1, -1, -1) and K.square == 3
+    ok = ok and all((-K).dot(line) == 1 for line in lines27())
+    return _result("canonical-class", ok, f"K={K}, K.K={K.square}")
 
 
 def _line_classes() -> CheckResult:
@@ -162,14 +160,14 @@ CHECKS = (
     ("cubic-defect-deg-2lam28", lambda: [lam for lam in range(9) if abnormality(_ex_even_deg(lam), 3) != 5], []),
     _obstruction_space_even_family,
     ("normal-bundle-h1-deg-3lam30",
-     lambda: [lam for lam in range(9) if h1_normal(_ex_triple_deg3(lam)) != (lam + 4) * (lam + 3) // 2], []),
+     lambda: [lam for lam in range(9) if curve_facts(_ex_triple_deg3(lam)).h2 != (lam + 4) * (lam + 3) // 2], []),
     ("normality-16-29",
      lambda: attrgetter("degree", "genus", "abnormality", "s_invariant")(normality_profile(D16G29)),
      (16, 29, {1: 0, 2: 0, 3: 2}, 3)),
     ("classify-16-29", lambda: attrgetter("kind", "witness_line", "m", "rule")(classify(D16G29)),
      ("Obstructed", lines27()[4], 1, "m=1")),
     ("classify-14-24", _mumford_generated, (MUMFORD, (14, 24), "Obstructed", 1, "m=1")),
-    ("hilbert-dim-16-29", lambda: (*_hilbert(hilbert_dim(D16G29)), h0_normal(D16G29), h1_normal(D16G29)),
+    ("hilbert-dim-16-29", lambda: (*_hilbert(hilbert_dim(D16G29)), h0_normal(D16G29), curve_facts(D16G29).h2),
      ("exact", 64, "prop-4.5", 65, 1)),
     ("hilbert-dim-30-72", lambda: (invariants(_ex_triple_deg3(0)), *_hilbert(hilbert_dim(_ex_triple_deg3(0)))),
      ((30, 72), "exact", 120, "theorem-1.1")),

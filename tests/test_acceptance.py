@@ -34,7 +34,6 @@ from cubiccurves.lattice import (
     apply_word,
     conics27,
     degree,
-    intersect,
     lines27,
 )
 from cubiccurves.obstruction import (
@@ -474,8 +473,8 @@ def _suite_lines_conics_exhaustive(_):
         return len(bruteq), f"conic search found {len(bruteq)}"
     for i, x in enumerate(ls):
         for y in ls[i + 1 :]:
-            if intersect(x, y) not in (0, 1):
-                return 27, f"pairing {x}.{y} = {intersect(x, y)}"
+            if x.dot(y) not in (0, 1):
+                return 27, f"pairing {x}.{y} = {x.dot(y)}"
     return len(brute) + len(bruteq) + 351, None
 
 
@@ -493,7 +492,7 @@ def _suite_restriction_sufficient(n):
         delta = _rand_class(rng, -4, 8, -4, 6)
         e = lines27()[rng.randrange(27)]
         cond = any(
-            intersect(q, e) == 1 and is_effective(delta - intersect(delta, e) * q)
+            q.dot(e) == 1 and is_effective(delta - delta.dot(e) * q)
             for q in conics27()
         )
         if cond:

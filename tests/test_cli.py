@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -60,6 +61,16 @@ def test_exit_code_precondition(capsys):
     assert run(["hilbert-dim", "-3;-1,-1,-1,-1,-1,-1"]) == 2  # negative a accepted, d=3
     assert run(["classify", "1;1,1,1,0,0,0"]) == 2  # no smooth member
     assert "error:" in capsys.readouterr().err
+
+
+def test_line_and_conic_classes_have_a_smooth_member(capsys):
+    for line_or_conic, d in (("0;-1,0,0,0,0,0", 1), ("1;1,0,0,0,0,0", 2)):
+        assert run(["invariants", line_or_conic, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["smooth_member"] is True
+        for command in ("normality", "classify", "kleppe"):
+            assert run([command, line_or_conic]) == 0
+        assert run(["hilbert-dim", line_or_conic]) == 2
+        assert capsys.readouterr().err == f"error: dimension rules require degree > 9, got d={d}\n"
 
 
 def test_negative_a_class_accepted(capsys):
@@ -340,6 +351,28 @@ def test_cold_import_loads_no_thread_pool():
     proc = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+PUBLIC_NAMES = """
+CensusRecord CohomologyTriple Cremona CurveReport DegeneratePoints DegreeTooSmall DivisorClass DprimeNotNef
+GenusOutOfHodgeRange HilbertDimResult InvalidK InvariantViolation K KleppeVerdict NonPositiveDegree NotALine
+NotEffective NotSmoothMember ObstructionVerdict OracleTooLarge Perm PointConfig PreconditionError
+StandardReduction ZariskiDecomposition abnormality adjoint_fixed_part apply_generator apply_word census_csv
+census_range classify cohomology conics27 degree enumerate_families euler_char exact_rank fixed_part
+gen_obstructed h0 h0_interpolation h0_normal has_smooth_member hilbert_dim hodge_genus_bound invariants
+is_effective is_nef is_standard kleppe_verdict lines27 modular_rank normality_profile point_config
+reduce_to_standard require_smooth_member restriction_surjective
+""".split()
+
+
+def test_public_names_are_pinned():
+    # the pairing, the canonical class, d+g+18 and h1(N) have one spelling
+    # each: x.dot(y), K, a census record's dim_w and curve_facts(c).h2
+    assert cubiccurves.__all__ == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 58
+    for module in {*cubiccurves._EXPORTS.values(), "cli", "verify"}:
+        home = vars(importlib.import_module("cubiccurves." + module))
+        assert not {"intersect", "canonical", "ZERO", "flag_dim", "h1_normal"} & home.keys(), module
 
 
 FOOTPRINT = """

@@ -14,10 +14,11 @@ from cubiccurves.cohomology import (
     is_nef,
 )
 from cubiccurves.errors import NotEffective
-from cubiccurves.lattice import DivisorClass, K, ZERO, degree, intersect, lines27
+from cubiccurves.lattice import DivisorClass, K, degree, lines27
 
 D = DivisorClass.of
 
+ZERO = D(0, 0, 0, 0, 0, 0, 0)
 E1 = D(0, -1, 0, 0, 0, 0, 0)
 D16G29 = D(12, 4, 4, 4, 4, 2, 2)
 
@@ -31,7 +32,7 @@ def _h0_one_line_at_a_time(d: DivisorClass) -> int:
             return 1
         if degree(cur) <= 0:
             return 0
-        neg = [l for l in lines27() if intersect(cur, l) < 0]
+        neg = [l for l in lines27() if cur.dot(l) < 0]
         if not neg:
             return euler_char(cur)
         cur = cur - neg[0]
@@ -149,7 +150,7 @@ def test_fixed_part_reconstructs():
         assert total == c
         assert is_nef(z.nef_part)
         for line, _ in z.fixed:
-            assert intersect(z.nef_part, line) == 0
+            assert z.nef_part.dot(line) == 0
 
 
 def test_adjoint_fixed_part():

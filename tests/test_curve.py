@@ -11,7 +11,7 @@ from cubiccurves.curve import (
     require_smooth_member,
 )
 from cubiccurves.errors import NonPositiveDegree, NotSmoothMember
-from cubiccurves.lattice import DivisorClass, K
+from cubiccurves.lattice import DivisorClass, K, conics27, lines27
 
 D = DivisorClass.of
 
@@ -50,6 +50,18 @@ def test_smooth_member():
     assert not has_smooth_member(D(1, 1, 1, 1, 0, 0, 0))
     with pytest.raises(NotSmoothMember):
         require_smooth_member(D(1, 1, 1, 1, 0, 0, 0))
+
+
+def test_lines_and_conics_have_a_smooth_member():
+    # a line is a smooth rational curve, and so is the general conic of its
+    # pencil; both lie in a plane, so they are projectively normal with s = 1
+    for c, std, d in [(l, D(0, 0, 0, 0, 0, 0, -1), 1) for l in lines27()] + [
+        (q, D(1, 1, 0, 0, 0, 0, 0), 2) for q in conics27()
+    ]:
+        assert has_smooth_member(c)
+        assert require_smooth_member(c) == std
+        report = normality_profile(c)
+        assert (report.degree, report.genus, report.abnormality, report.s_invariant) == (d, 0, {1: 0, 2: 0, 3: 0}, 1)
 
 
 def test_require_smooth_member_returns_standard():

@@ -14,7 +14,6 @@ from cubiccurves.cohomology import CohomologyTriple, _strip, cohomology, fixed_p
 from cubiccurves.curve import curve_facts
 from cubiccurves.errors import NotEffective, NotSmoothMember
 from cubiccurves.lattice import (
-    ZERO,
     Cremona,
     DivisorClass,
     K,
@@ -28,6 +27,9 @@ from cubiccurves.lattice import (
 )
 
 LINES = lines27()
+ZERO = DivisorClass(0, (0, 0, 0, 0, 0, 0))
+# the standard forms of a line and of a conic class, which have a smooth member too
+LINE_AND_CONIC = (DivisorClass(0, (0, 0, 0, 0, 0, -1)), DivisorClass(1, (1, 0, 0, 0, 0, 0)))
 BOUND = 10**4
 
 
@@ -161,7 +163,7 @@ def test_weyl_moved_effective_classes_match_reference(c, w, k):
 
 def _check_facts(c):
     std, _ = ref_reduce(c)
-    if not (std.a > std.b[0] and std.b[5] >= 0):
+    if not (std.a > std.b[0] and std.b[5] >= 0 or std in LINE_AND_CONIC):
         with pytest.raises(NotSmoothMember):
             curve_facts(c)
         return

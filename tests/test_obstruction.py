@@ -2,15 +2,14 @@
 
 import pytest
 
-from cubiccurves.curve import invariants
+from cubiccurves.census import census_range
+from cubiccurves.curve import curve_facts, invariants
 from cubiccurves.errors import DegreeTooSmall, DprimeNotNef, InvalidK, NotALine
 from cubiccurves.lattice import DivisorClass, K, lines27
 from cubiccurves.obstruction import (
     classify,
-    flag_dim,
     gen_obstructed,
     h0_normal,
-    h1_normal,
     hilbert_dim,
     kleppe_verdict,
     restriction_surjective,
@@ -88,10 +87,11 @@ def test_hilbert_dim_degree_guard():
 
 
 def test_normal_bundle_counts():
-    assert h1_normal(D16G29) == 1
+    assert curve_facts(D16G29).h2 == 1
     assert h0_normal(D16G29) == 65
-    assert flag_dim(D16G29) == 16 + 29 + 18
-    assert h1_normal(MUMFORD) == 1
+    (record,) = [r for r in census_range(16, 16, 29, 29)[0] if r.cls == D16G29]
+    assert record.dim_w == 16 + 29 + 18
+    assert curve_facts(MUMFORD).h2 == 1
     assert h0_normal(MUMFORD) == 57
 
 

@@ -11,7 +11,6 @@ from cubiccurves.lattice import (
     Perm,
     apply_word,
     degree,
-    intersect,
     is_standard,
     reduce_to_standard,
 )
@@ -108,7 +107,7 @@ def test_fixed_part_reconstruction(c):
     assert is_nef(z.nef_part)
     for i, (a, _) in enumerate(z.fixed):
         for b, _ in z.fixed[i + 1 :]:
-            assert intersect(a, b) == 0
+            assert a.dot(b) == 0
 
 
 @settings(max_examples=250, deadline=None)

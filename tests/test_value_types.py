@@ -5,7 +5,8 @@ order is pinned (the CLI's JSON follows it through _asdict), two census runs
 give equal records with equal hashes, and CurveFacts.pairings is the line
 pairing of L = C + 3K.  DivisorClass is a hand-written immutable class with
 the contract a frozen dataclass gave it: its repr, hash((a, b)), equality
-with classes only, no order, and pickle and copy round-trips.
+with classes only, no order, and pickle and copy round-trips.  Perm and
+Cremona check their fields however they are built, _make and _replace too.
 """
 
 import copy
@@ -113,3 +114,19 @@ def test_divisor_class_pickle_and_copy_round_trip():
         assert twin == C and type(twin) is DivisorClass
         assert (twin.a, twin.b) == (C.a, C.b)
     assert pickle.loads(pickle.dumps(reduce_to_standard(DivisorClass(2, (1, 1, 1, 0, 0, 0))))).word == (Cremona(1, 2, 3),)
+
+
+def test_perm_and_cremona_check_fields_through_make_and_replace():
+    with pytest.raises(ValueError):
+        Cremona(1, 2, 3)._replace(i=9)
+    with pytest.raises(ValueError):
+        Cremona._make([1, 1, 2])
+    with pytest.raises(ValueError):
+        Perm._make([(1, 1, 1, 1, 1, 1)])
+    with pytest.raises(ValueError):
+        Perm((2, 1, 3, 4, 5, 6))._replace(sigma=(0, 1, 2, 3, 4, 5))
+    assert Cremona(1, 2, 3)._replace(i=4) == Cremona(4, 2, 3)
+    assert Perm._make([(2, 1, 3, 4, 5, 6)]) == Perm((2, 1, 3, 4, 5, 6))
+    for gen in (Perm((2, 1, 3, 4, 5, 6)), Cremona(1, 2, 3)):
+        for twin in (pickle.loads(pickle.dumps(gen)), copy.copy(gen), copy.deepcopy(gen)):
+            assert twin == gen and type(twin) is type(gen)
