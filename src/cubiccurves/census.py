@@ -1,12 +1,15 @@
 """Enumeration of curve families by (degree, genus) and the census report.
 
 A family is a standard-form class (b1 >= ... >= b6 >= 0, a >= b1+b2+b3)
-with a smooth member (a > b1).  For fixed degree d the coefficient sum is
-pinned to 3a - d and a is confined to [ceil(d/3), d], so enumeration is a
-bounded partition walk, and its classes need no reduction.  Census records
-are pure functions of the class, each built from one CurveFacts pass on
-plain integers, and come out in a fixed (d, g, class) order.  The census
-runs in one thread, because a thread pool made it no faster.
+with a > b1.  That excludes the 27 lines (d = 1) and the 27 conic classes
+(d = 2), which has_smooth_member accepts; from d = 3 on the families are
+exactly the standard classes with a smooth member.  For fixed degree d the
+coefficient sum is pinned to 3a - d and a is confined to [ceil(d/3), d], so
+enumeration is a bounded partition walk, and its classes need no reduction.
+Census records are pure functions of the class, each built from one
+CurveFacts pass on plain integers, and come out in a fixed (d, g, class)
+order.  The census runs in one thread, because a thread pool made it no
+faster.
 """
 
 from __future__ import annotations
@@ -63,7 +66,13 @@ def _families_by_genus(d: int) -> dict[int, tuple[DivisorClass, ...]]:
 
 def enumerate_families(d: int, g: int) -> tuple[DivisorClass, ...]:
     """All families (standard, b6 >= 0, a > b1) of the given degree and genus,
-    sorted lexicographically on (a, b1..b6); hodge_genus_bound rejects d <= 0."""
+    sorted lexicographically on (a, b1..b6); hodge_genus_bound rejects d <= 0.
+
+    Empty for d = 1 and d = 2: a family needs a > b1 and b6 >= 0, which the
+    lines and conic classes fail although has_smooth_member accepts them.
+    From d = 3 on, a standard class is enumerated exactly when
+    has_smooth_member holds.
+    """
     if not 0 <= g <= hodge_genus_bound(d):
         raise GenusOutOfHodgeRange(f"genus {g} outside [0, {hodge_genus_bound(d)}] for degree {d}")
     return _families_by_genus(d).get(g, ())

@@ -37,14 +37,13 @@ that is too high gets through only if, at each of the three seeds, the
 points are special or P divides the relevant minor.
 
 Points are drawn from a small integer grid, checked exactly for degeneracy
-(no three collinear; no conic through all six, by the exact fraction-free
-rank exact_rank) and resampled on failure.  This module never feeds the
+(no three collinear; no conic through all six, by the bracket identity in
+_general_position) and resampled on failure.  This module never feeds the
 cohomology engine; it exists to contradict it.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from functools import lru_cache
 from itertools import combinations
@@ -53,7 +52,7 @@ from typing import NamedTuple
 from .errors import DegeneratePoints, OracleTooLarge
 from .lattice import DivisorClass
 
-try:  # optional: exact_rank (Bareiss) only sees the 6x6 conic test's matrices
+try:  # optional: speeds exact_rank, the exact reference the tests check the oracle with
     from gmpy2 import mpz
 except ImportError:  # pragma: no cover
     mpz = int
@@ -146,19 +145,20 @@ def _eliminate(packed: list[int], cols: int, nbytes: int) -> int:
     for _ in range(cols):
         if not packed:
             break
-        leads = [(r & mask) % P for r in packed]
-        piv_idx = next((i for i, f in enumerate(leads) if f), None)
+        piv_idx = next((i for i, r in enumerate(packed) if (r & mask) % P), None)
         if piv_idx is None:
             packed = [r >> width for r in packed]
             continue
-        pivot = packed.pop(piv_idx) >> width
+        pivot = packed.pop(piv_idx)
+        lead = (pivot & mask) % P
+        pivot >>= width
         for _ in range(before):
             pivot = _fold(pivot, low, high)
-        pivot *= P - pow(leads.pop(piv_idx), -1, P)
+        pivot *= P - pow(lead, -1, P)
         for _ in range(after):
             pivot = _fold(pivot, low, high)
         rank += 1
-        packed = [(r >> width) + f * pivot for r, f in zip(packed, leads)]
+        packed = [(r >> width) + (r & mask) % P * pivot for r in packed]
     return rank
 
 
@@ -175,11 +175,16 @@ class PointConfig(NamedTuple):
 
 
 def _general_position(pts) -> bool:
-    for (x1, y1), (x2, y2), (x3, y3) in combinations(pts, 3):
-        if (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1) == 0:
-            return False
-    conic = [[x * x, x * y, y * y, x, y, 1] for x, y in pts]
-    return exact_rank(conic) == 6
+    """No three of the six points collinear and no conic through all six.
+
+    b lists the brackets [ijk] = det[p_i | p_j | p_k], p = (x, y, 1), for
+    i < j < k in lexicographic order (b[0] = [123], b[19] = [456]).  For
+    integer points [123][145][246][356] - [124][135][236][456] is exactly
+    -det of the 6 x 6 conic matrix with rows (x^2, xy, y^2, x, y, 1), so the
+    conic test agrees with exact_rank(conic matrix) == 6.
+    """
+    b = [(x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1) for (x1, y1), (x2, y2), (x3, y3) in combinations(pts, 3)]
+    return all(b) and b[0] * b[7] * b[14] * b[18] != b[1] * b[5] * b[12] * b[19]
 
 
 @lru_cache(maxsize=None)
@@ -194,11 +199,13 @@ def point_config(seed: int) -> PointConfig:
 
 
 def _derivatives(x: int, a: int, m: int) -> list[list[int]]:
-    """d[j][u] = (d/dx)^j x^u = u!/(u-j)! x^(u-j) mod P, for j < m and u <= a."""
-    xp = [1] * (a + 1)
-    for i in range(1, a + 1):
-        xp[i] = xp[i - 1] * x % P
-    return [[math.perm(u, j) * xp[u - j] % P if u >= j else 0 for u in range(a + 1)] for j in range(m)]
+    """d[j][u] = (d/dx)^j x^u = u!/(u-j)! x^(u-j) mod P = u d[j-1][u-1], for j < m and u <= a."""
+    d = [[1] * (a + 1)]
+    for u in range(1, a + 1):
+        d[0][u] = d[0][u - 1] * x % P
+    while len(d) < m:
+        d.append([0] + [u * r % P for u, r in enumerate(d[-1][:-1], 1)])
+    return d[:m]
 
 
 def condition_rank(a: int, mults, cfg: PointConfig) -> int:
@@ -249,13 +256,16 @@ def condition_rank(a: int, mults, cfg: PointConfig) -> int:
         return fixed
     nbytes = _slot_bytes(min(sum(m * (m + 1) // 2 for _, _, m in points), cols))
     width = 8 * nbytes
+    # each run as (v, shift to its first u, mask of its slots, shift to its columns)
+    cuts = [(v, width * lo, (1 << width * (hi - lo)) - 1, width * off) for v, lo, hi, off in runs]
     packed = []
     for x, y, m in points:
         dy = _derivatives(y, a, m)
         for j, dxj in enumerate(_derivatives(x, a, m)):
-            # (d/dx)^j of x^u on each run, at its columns; the row of
-            # (d/dx)^j (d/dy)^k weights run v by (d/dy)^k y^v
-            runs_x = [(v, _pack(dxj[lo:hi], nbytes) << (width * off)) for v, lo, hi, off in runs]
+            # (d/dx)^j x^u packed once and cut into the runs, at their columns;
+            # the row of (d/dx)^j (d/dy)^k weights run v by (d/dy)^k y^v
+            row = _pack(dxj, nbytes)
+            runs_x = [(v, ((row >> lo) & keep) << off) for v, lo, keep, off in cuts]
             packed += [sum([dyk[v] * run for v, run in runs_x]) for dyk in dy[: m - j]]
     return fixed + _eliminate(packed, cols, nbytes)
 

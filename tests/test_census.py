@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -20,7 +21,7 @@ from cubiccurves.census import (
     enumerate_families,
 )
 from cubiccurves.cli import run
-from cubiccurves.curve import hodge_genus_bound, invariants
+from cubiccurves.curve import has_smooth_member, hodge_genus_bound, invariants
 from cubiccurves.errors import DegreeTooSmall, GenusOutOfHodgeRange, NonPositiveDegree
 from cubiccurves.lattice import DivisorClass, is_standard
 from cubiccurves.obstruction import KleppeVerdict
@@ -58,6 +59,25 @@ def test_enumeration_matches_brute_force(d, g):
     assert got == _brute_families(d, g)
     for c in got:
         assert is_standard(c) and c.a > c.b[0] and c.b[5] >= 0
+
+
+def test_families_are_the_smooth_member_classes_from_degree_3():
+    # a family needs a > b1 and b6 >= 0, which the 27 lines (standard form
+    # (0; 0,0,0,0,0,-1), d = 1) and the 27 conic classes ((1; 1,0,0,0,0,0),
+    # d = 2) fail, though each has a smooth member
+    assert enumerate_families(1, 0) == () and enumerate_families(2, 0) == ()
+    assert has_smooth_member(D(0, 0, 0, 0, 0, 0, -1)) and has_smooth_member(D(1, 1, 0, 0, 0, 0, 0))
+    # from d = 3 on: every standard class with a <= 10 and each bi >= -1
+    standard = [
+        D(a, *b)
+        for a in range(11)
+        for b in combinations_with_replacement(range(a, -2, -1), 6)
+        if a >= b[0] + b[1] + b[2] and 3 * a - sum(b) >= 3
+    ]
+    smooth = {c for c in standard if has_smooth_member(c)}
+    families = {c for d in range(3, 31) for g in range(hodge_genus_bound(d) + 1) for c in enumerate_families(d, g)}
+    assert smooth == {c for c in families if c.a <= 10}
+    assert (len(smooth), len(standard)) == (710, 2153)
 
 
 def test_enumeration_membership():

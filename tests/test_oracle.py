@@ -4,6 +4,8 @@ import math
 import random
 import subprocess
 import sys
+from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,28 @@ def ref_condition_rows(a: int, mults, cfg: PointConfig):
                     ]
                 )
     return rows
+
+
+def ref_degeneracy(pts):
+    """The rule _general_position replaced, as the reference: "collinear" if
+    some three points are (coincident points included), else "conic" if the
+    exact rank of the 6 x 6 conic matrix falls below 6, else None."""
+    for (x1, y1), (x2, y2), (x3, y3) in combinations(pts, 3):
+        if (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1) == 0:
+            return "collinear"
+    if exact_rank([[x * x, x * y, y * y, x, y, 1] for x, y in pts]) < 6:
+        return "conic"
+    return None
+
+
+def ref_point_config(seed: int):
+    """point_config's sampler on ref_degeneracy: the points, or None after ten tries."""
+    rng = random.Random(seed)
+    for _ in range(10):
+        pts = tuple((rng.randint(1, COORD_MAX), rng.randint(1, COORD_MAX)) for _ in range(6))
+        if len(set(pts)) == 6 and ref_degeneracy(pts) is None:
+            return pts
+    return None
 
 
 def ref_modular_rank(rows) -> int:
@@ -288,6 +312,51 @@ def test_general_position_rejects_coconic():
 def test_general_position_accepts_sampled():
     for seed in range(5):
         assert _general_position(point_config(seed).points)
+
+
+def test_general_position_matches_exact_rank_on_a_small_grid():
+    # on the grid 1..12 coincident, collinear and co-conic sets are all common
+    rng = random.Random(12)
+    seen = Counter()
+    for _ in range(100_000):
+        pts = tuple((rng.randint(1, 12), rng.randint(1, 12)) for _ in range(6))
+        why = ref_degeneracy(pts)
+        assert _general_position(pts) == (why is None), pts
+        seen["coincident" if len(set(pts)) < 6 else why] += 1
+    assert min(seen.values()) > 100, seen
+    assert seen.keys() == {"coincident", "collinear", "conic", None}
+
+
+def test_general_position_on_built_coconic_sets():
+    # six points on y = x^2, six of the twelve lattice points on x^2 + y^2 =
+    # 25 (no three of either collinear), and three points on each of two
+    # lines; then each set with one point moved off its conic by one step
+    parabola = [tuple((x, x * x) for x in xs) for xs in combinations(range(-4, 5), 6)]
+    circle = [(x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25]
+    circles = list(combinations(circle, 6))
+    lines = [((0, 0), (1, 1), (2, 2), (0, 3), (1, 5), (2, 7)), ((1, 0), (4, 0), (9, 0), (0, 2), (0, 5), (0, 11))]
+    assert len(circle) == 12 and len(circles) == 924
+    for pts in parabola + circles + lines:
+        assert ref_degeneracy(pts) == ("collinear" if pts in lines else "conic"), pts
+        assert not _general_position(pts), pts
+        for dx, dy in ((1, 0), (0, 1), (-1, 0)):
+            moved = ((pts[0][0] + dx, pts[0][1] + dy),) + pts[1:]
+            assert _general_position(moved) == (ref_degeneracy(moved) is None), moved
+
+
+def test_point_config_matches_exact_rank_sampler():
+    # the cached point_config is bypassed, so the 20,001 sets do not stay in memory
+    for seed in range(20_001):
+        assert point_config.__wrapped__(seed).points == ref_point_config(seed), seed
+
+
+def test_derivatives_match_closed_form():
+    rng = random.Random(30)
+    for x in (0, 1, 2, P - 1, rng.randrange(P), rng.randrange(P)):
+        for a in range(31):
+            ref = [[math.perm(u, j) * x ** (u - j) % P if u >= j else 0 for u in range(a + 1)] for j in range(a + 1)]
+            for m in range(a + 2):
+                assert oracle._derivatives(x, a, m) == ref[:m], (x, a, m)
 
 
 def test_h0_closed_forms():
