@@ -32,8 +32,8 @@ from .obstruction import (
 
 
 def _standard_coefficients(d: int):
-    """(a, b) of every standard smooth-member class of degree d, a ascending
-    and, for each a, b descending lexicographically.
+    """(a, b) of every standard smooth-member class of degree d, sorted on
+    (a, b1..b6).
 
     b1 >= ... >= b6 >= 0 sum to s = 3a - d, with b1 <= a - 1 (a smooth
     member) and b1+b2+b3 <= a.  Slot k = 0..5 takes at least
@@ -42,15 +42,15 @@ def _standard_coefficients(d: int):
     """
     for a in range((d + 2) // 3, d + 1):
         s = 3 * a - d
-        for b1 in range(min(a - 1, s), (s + 5) // 6 - 1, -1):
+        for b1 in range((s + 5) // 6, min(a - 1, s) + 1):
             r1 = s - b1
-            for b2 in range(min(b1, r1, a - b1), (r1 + 4) // 5 - 1, -1):
+            for b2 in range((r1 + 4) // 5, min(b1, r1, a - b1) + 1):
                 r2 = r1 - b2
-                for b3 in range(min(b2, r2, a - b1 - b2), (r2 + 3) // 4 - 1, -1):
+                for b3 in range((r2 + 3) // 4, min(b2, r2, a - b1 - b2) + 1):
                     r3 = r2 - b3
-                    for b4 in range(min(b3, r3), (r3 + 2) // 3 - 1, -1):
+                    for b4 in range((r3 + 2) // 3, min(b3, r3) + 1):
                         r4 = r3 - b4
-                        for b5 in range(min(b4, r4), (r4 + 1) // 2 - 1, -1):
+                        for b5 in range((r4 + 1) // 2, min(b4, r4) + 1):
                             yield a, (b1, b2, b3, b4, b5, r4 - b5)
 
 
@@ -58,10 +58,10 @@ def _standard_coefficients(d: int):
 def _families_by_genus(d: int) -> dict[int, tuple[DivisorClass, ...]]:
     """The standard smooth-member classes of degree d by genus, each bucket
     sorted on (a, b1..b6); the genus is read off the coefficients once."""
-    out: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    out: dict[int, list[DivisorClass]] = {}
     for a, b in _standard_coefficients(d):
-        out.setdefault(_genus(a, b, d), []).append((a, b))
-    return {g: tuple([DivisorClass(a, b) for a, b in sorted(v)]) for g, v in out.items()}
+        out.setdefault(_genus(a, b, d), []).append(DivisorClass(a, b))
+    return {g: tuple(v) for g, v in out.items()}
 
 
 def enumerate_families(d: int, g: int) -> tuple[DivisorClass, ...]:

@@ -36,13 +36,18 @@ class ClassParseError(Exception):
         )
 
 
-_INT = re.compile(r"[+-]?[0-9]+")
+_INT = re.compile(r"[+-]?([0-9]+)")
+# outputs are at most quadratic in the coefficients, so this keeps every
+# integer the CLI prints within Python's 4300-digit int/str limit
+_DIGITS_MAX = 1000
 
 
 def _scan_int(text: str, pos: int) -> tuple[int, int]:
     m = _INT.match(text, pos)
     if not m:
         raise ClassParseError(text, pos, "expected integer")
+    if len(m.group(1)) > _DIGITS_MAX:
+        raise ClassParseError(text, m.start(1), f"integer longer than {_DIGITS_MAX} digits")
     return int(m.group()), m.end()
 
 
@@ -80,13 +85,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _word_json(word) -> list:
-    out = []
-    for gen in word:
-        if isinstance(gen, Perm):
-            out.append({"perm": list(gen.sigma)})
-        else:
-            out.append({"cremona": [gen.i, gen.j, gen.k]})
-    return out
+    return [{"perm": list(g.sigma)} if isinstance(g, Perm) else {"cremona": [g.i, g.j, g.k]} for g in word]
 
 
 def _verdict_json(v) -> dict:

@@ -105,7 +105,8 @@ def _brute_all_degree_12():
 
 def _descending_tuples(total: int, cap: int, head_budget: int):
     """The recursive enumeration the census loop replaced: non-increasing
-    6-tuples >= 0 with the given sum, b1 <= cap and b1+b2+b3 <= head_budget."""
+    6-tuples >= 0 with the given sum, b1 <= cap and b1+b2+b3 <= head_budget,
+    in ascending lexicographic order."""
 
     def rec(pos: int, remaining: int, prev: int, head: int):
         if pos == 6:
@@ -116,7 +117,7 @@ def _descending_tuples(total: int, cap: int, head_budget: int):
         if pos < 3:
             hi = min(hi, head)
         # the remaining slots can absorb at most (6-pos-1)*value more
-        for v in range(hi, -1, -1):
+        for v in range(hi + 1):
             if remaining - v > v * (5 - pos):
                 continue
             for rest in rec(pos + 1, remaining - v, v, head - v if pos < 3 else head):

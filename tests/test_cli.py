@@ -47,6 +47,44 @@ def test_parse_class_errors(text, caret_at):
     assert rendered[2][2 + caret_at] == "^"
 
 
+NINES = "9" * 1000  # the longest integer the class parser takes
+COMMANDS_WITH_A_CLASS = [*CLASS_COMMANDS, "oracle-h0"]
+
+
+@pytest.mark.parametrize("digits", [1001, 5000])
+def test_integers_past_1000_digits_exit_1_with_a_caret(digits, capsys):
+    n = "9" * digits
+    for text, caret_at in ((f"{n};0,0,0,0,0,0", 0), (f"12;4,-{n},4,4,2,2", 6)):
+        for cmd in COMMANDS_WITH_A_CLASS:
+            for fmt in ("table", "json", "csv"):
+                assert run([cmd, text, "--format", fmt]) == 1, (cmd, fmt)
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                lines = captured.err.splitlines()
+                assert lines[2] == " " * (2 + caret_at) + "^ integer longer than 1000 digits"
+    assert run(["gen-obstructed", "--k", "1", "--dprime", f"1;1,0,0,0,{n}"]) == 1
+    assert capsys.readouterr().err.endswith(" " * 12 + "^ integer longer than 1000 digits\n")
+
+
+def test_integers_of_1000_digits_run_every_class_command(capsys):
+    ten = "1" + "0" * 999
+    for text in (
+        f"{ten};1,1,1,1,1,1",
+        f"{NINES};{'4' * 1000},{'3' * 1000},{'2' * 1000},1,1,1",
+        f"-{NINES};0,0,0,0,0,0",
+        f"{NINES};-{NINES},0,0,0,0,{NINES}",
+    ):
+        for cmd in COMMANDS_WITH_A_CLASS:
+            for fmt in ("table", "json", "csv"):
+                code = run([cmd, text, "--format", fmt])
+                captured = capsys.readouterr()
+                assert (code, bool(captured.out), bool(captured.err)) in ((0, True, False), (2, False, True)), (cmd, fmt)
+    assert run(["cohomology", f"{ten};0,0,0,0,0,0", "--format", "json"]) == 0
+    a = 10**999
+    assert json.loads(capsys.readouterr().out)["h0"] == (a + 1) * (a + 2) // 2
+    assert run(["gen-obstructed", "--k", "1", "--dprime", f"{NINES};1,1,1,1,1"]) == 0
+
+
 def test_exit_code_usage(capsys):
     assert run([]) == 1
     assert run(["bogus"]) == 1
@@ -229,16 +267,13 @@ def test_oracle_h0_budget_exits_2(capsys):
     )
 
 
-def test_oracle_h0_matrix_budget_exits_2(capsys):
-    # a = 30 is within the budget on a, but 816 conditions on 496 monomials
-    # are past the budget on the condition matrix
-    assert run(["oracle-h0", "30;16,16,16,16,16,16"]) == 2
+def test_oracle_h0_tall_condition_matrix_exits_0(capsys):
+    # a = 30 is the one size rule: 816 conditions on 496 monomials are taken
+    # on, since only the three lighter points' 408 rows are eliminated
+    assert run(["oracle-h0", "30;16,16,16,16,16,16"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: class 30;16,16,16,16,16,16 (negative bi clamped to 0) is too large for the "
-        "interpolation oracle: its 816 x 496 condition matrix has 404736 > 246016 entries\n"
-    )
+    assert captured.out == "class: 30;16,16,16,16,16,16\nseed: 0\nh0: 0\n"
+    assert captured.err == ""
 
 
 # sha256 of each command's output in each format, taken before census and

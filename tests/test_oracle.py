@@ -17,7 +17,6 @@ from cubiccurves.errors import DegeneratePoints, OracleTooLarge, PreconditionErr
 from cubiccurves.lattice import DivisorClass, K
 from cubiccurves.oracle import (
     A_MAX,
-    CELLS_MAX,
     COORD_MAX,
     P,
     PointConfig,
@@ -383,7 +382,7 @@ def test_h0_budget():
     assert issubclass(OracleTooLarge, PreconditionError)
 
 
-def test_h0_at_the_matrix_bound():
+def test_h0_on_the_square_condition_matrix():
     # no stub: 496 conditions on 496 monomials; the three points of
     # multiplicity 17 become a count, and 37 rows are eliminated per seed
     c = D(30, 17, 17, 17, 8, 1, 0)
@@ -391,17 +390,49 @@ def test_h0_at_the_matrix_bound():
     assert h0_interpolation(c) == h0(c) == 18
 
 
-def test_h0_budget_on_matrix_size(monkeypatch):
-    # the condition matrix of (30; 17,17,17,8,1,b6) has 496 + b6 rows and 496
-    # columns: at the bound for b6 = 0, one row past it for b6 = 1
-    assert CELLS_MAX == 496 * 496
+def test_h0_on_tall_condition_matrices():
+    # a <= A_MAX is the one size rule: six-point matrices with more rows than
+    # 496 columns are taken on, since only the lighter points' rows are
+    # eliminated; a heavy point past a leaves no monomials, so no elimination
     assert len(ref_condition_rows(30, (17, 17, 17, 8, 1, 1), point_config(0))) == 497
-    monkeypatch.setattr(oracle, "_h0_at", lambda d, seed: 0)  # no elimination
-    assert h0_interpolation(D(30, 17, 17, 17, 8, 1, 0)) == 0
-    with pytest.raises(OracleTooLarge):
-        h0_interpolation(D(30, 17, 17, 17, 8, 1, 1))
-    with pytest.raises(OracleTooLarge):
-        h0_interpolation(D(30, 16, 16, 16, 16, 16, 16))  # 816 x 496
+    for c in (
+        D(30, 17, 17, 17, 8, 1, 1),  # 497 x 496, 38 rows eliminated
+        D(30, 13, 13, 13, 13, 13, 13),  # 546 x 496, 273 x 223 eliminated
+        D(30, 16, 16, 16, 16, 16, 16),  # 816 x 496, 408 x 91 eliminated
+        D(30, 106, 0, 0, 0, 0, 0),  # 5,671 x 496, nothing eliminated
+    ):
+        assert h0_interpolation(c) == h0(c), c
+
+
+def _monomials_left(a: int, m0: int, m1: int, m2: int) -> int:
+    """Monomials x^u y^v of degree <= a that the coordinate points of
+    multiplicities m0, m1, m2 leave: u + v >= m0, v <= a - m1, u <= a - m2."""
+    return sum(max(0, min(a - m2, a - v) + 1 - max(m0 - v, 0)) for v in range(a - m1 + 1))
+
+
+def _elimination_work(rows: int, cols: int) -> int:
+    """Cells a pivot pass can touch: sum over pivots k of (rows - k)(cols - k)."""
+    return sum((rows - k) * (cols - k) for k in range(min(rows, cols)))
+
+
+def test_worst_case_elimination_is_a_max_twelve_sixfold(monkeypatch):
+    # The work grows with the lighter points' rows, and none of them is
+    # heavier than the third heaviest point m2, so three copies of m2 are
+    # the worst light triple.  The monomials left only grow with a, so
+    # a = A_MAX covers every smaller a, and a heavy multiplicity past A_MAX
+    # leaves none; that leaves the 5,456 sorted heavy triples in 0..A_MAX.
+    work, worst = max(
+        (_elimination_work(3 * m2 * (m2 + 1) // 2, _monomials_left(A_MAX, m0, m1, m2)), (m0, m1, m2))
+        for m0 in range(A_MAX + 1)
+        for m1 in range(m0 + 1)
+        for m2 in range(m1 + 1)
+    )
+    assert (A_MAX, worst, work) == (30, (12, 12, 12), 5_068_245)
+    # the kernel eliminates exactly the modelled shape: 234 rows on 262 monomials
+    shapes = []
+    monkeypatch.setattr(oracle, "_eliminate", lambda packed, cols, nbytes: shapes.append((len(packed), cols)) or 0)
+    condition_rank(A_MAX, (12,) * 6, point_config(0))
+    assert shapes == [(234, 262)]
 
 
 def test_oracle_engine_agreement_small():
