@@ -27,12 +27,11 @@ _LINE_TERMS = tuple((line.a, tuple((i, x) for i, x in enumerate(line.b) if x)) f
 
 
 def _chi(a: int, b: tuple[int, ...]) -> int:
-    """Riemann-Roch for (a; b): chi = D.(D - K)/2 + 1, with D.(D - K) checked even."""
+    """Riemann-Roch for (a; b): chi = D.(D - K)/2 + 1, where D.(D - K) =
+    a(a + 3) - sum(bi(bi + 1)) is even for every class: a(a + 3) =
+    a(a + 1) + 2a, and a product of two consecutive integers is even."""
     b1, b2, b3, b4, b5, b6 = b
-    # D.D - K.D
     t = a * (a + 3) - b1 * (b1 + 1) - b2 * (b2 + 1) - b3 * (b3 + 1) - b4 * (b4 + 1) - b5 * (b5 + 1) - b6 * (b6 + 1)
-    if t % 2:
-        raise InvariantViolation(f"odd D.(D-K) = {t} for {DivisorClass(a, b)}")
     return t // 2 + 1
 
 
@@ -79,11 +78,8 @@ def _strip(a: int, b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
         return a, b if b6 >= 0 else tuple([x if x > 0 else 0 for x in b])
     if a < 0 or a < max(b):
         return None
-    mu = line_pairings(a, b)
-    if min(mu) >= 0:
-        return a, b
     b = list(b)
-    for m, (la, terms) in zip(mu, _LINE_TERMS):
+    for m, (la, terms) in zip(line_pairings(a, b), _LINE_TERMS):
         if m < 0:
             a += m * la
             for i, x in terms:
@@ -141,8 +137,6 @@ def fixed_part(d: DivisorClass) -> ZariskiDecomposition:
         raise NotEffective(f"{d} is not an effective class")
     nef_part = d if nef == (d.a, d.b) else DivisorClass(*nef)
     fixed = tuple((line, -m) for line, m in zip(_LINES, line_pairings(d.a, d.b)) if m < 0)
-    if len(fixed) > 6:
-        raise InvariantViolation(f"{len(fixed)} fixed lines for {d}")
     if any(l1.dot(l2) != 0 for i, (l1, _) in enumerate(fixed) for (l2, _) in fixed[i + 1:]):
         raise InvariantViolation(f"fixed lines of {d} are not pairwise disjoint")
     if not is_nef(nef_part) or any(nef_part.dot(line) != 0 for line, _ in fixed):

@@ -26,7 +26,7 @@ from .lattice import K, DivisorClass, degree, line_pairings, reduce_to_standard
 
 def _genus(a: int, b: tuple[int, ...], d: int) -> int:
     """The genus of (a; b) of degree d: Riemann-Roch gives chi(C) =
-    1 + (C.C - K.C)/2 = g + d, and _chi checks C.C - K.C, so C.C + K.C, even."""
+    1 + (C.C - K.C)/2 = g + d, and C.C - K.C, hence C.C + K.C, is even (_chi)."""
     return _chi(a, b) - d
 
 

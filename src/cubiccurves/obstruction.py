@@ -198,7 +198,6 @@ _NOT_APPLICABLE_D = KleppeVerdict(kind="NotApplicable", failed_hypothesis="d<=9"
 _NOT_APPLICABLE_G = KleppeVerdict(kind="NotApplicable", failed_hypothesis="g<3d-18")
 _NOT_APPLICABLE_H1_IC1 = KleppeVerdict(kind="NotApplicable", failed_hypothesis="not-linearly-normal")
 _NOT_APPLICABLE_H1_IC3 = KleppeVerdict(kind="NotApplicable", failed_hypothesis="h1_ic3=0")
-_KNOWN_RANGE_D14_17 = KleppeVerdict(kind="KnownRange", range_tag="d14-17")
 _KNOWN_RANGE_D18 = KleppeVerdict(kind="KnownRange", range_tag="d18+")
 _OPEN = KleppeVerdict(kind="Open")
 
@@ -208,9 +207,11 @@ def kleppe_verdict(c: DivisorClass) -> KleppeVerdict:
 
     Hypotheses checked in order: d > 9, g >= 3d-18, linear normality and a
     nonzero cubic-normality defect.  A quadratically normal class is settled
-    (dimension d+g+18); otherwise the (d,g) region may fall in one of the
-    two previously known ranges, else the question is open here.  The
-    hypotheses are read off curve_facts(c).
+    (dimension d+g+18); otherwise (d, g) may fall in the known range d >= 18,
+    8(g - 7) > (d - 2)^2, else the question is open here.  The other known
+    range, 14 <= d <= 17, is empty on a smooth cubic: of the 324 families
+    there, 7 meet the four hypotheses and all 7 are quadratically normal.
+    The hypotheses are read off curve_facts(c).
     """
     return kleppe_of(curve_facts(c))
 
@@ -228,8 +229,6 @@ def kleppe_of(facts: CurveFacts) -> KleppeVerdict:
         return _NOT_APPLICABLE_H1_IC3
     if facts.defects[1] == 0:
         return KleppeVerdict(kind="ProvenTheorem1", dim=d + g + 18)
-    if 14 <= d <= 17 and 8 * (g + 1) > d * d - 4:
-        return _KNOWN_RANGE_D14_17
     if d >= 18 and 8 * (g - 7) > (d - 2) ** 2:
         return _KNOWN_RANGE_D18
     return _OPEN

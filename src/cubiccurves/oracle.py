@@ -176,13 +176,14 @@ class PointConfig(NamedTuple):
 
 
 def _general_position(pts) -> bool:
-    """No three of the six points collinear and no conic through all six.
+    """No two of the six points equal, no three collinear and no conic through all six.
 
     b lists the brackets [ijk] = det[p_i | p_j | p_k], p = (x, y, 1), for
-    i < j < k in lexicographic order (b[0] = [123], b[19] = [456]).  For
-    integer points [123][145][246][356] - [124][135][236][456] is exactly
-    -det of the 6 x 6 conic matrix with rows (x^2, xy, y^2, x, y, 1), so the
-    conic test agrees with exact_rank(conic matrix) == 6.
+    i < j < k in lexicographic order (b[0] = [123], b[19] = [456]).  Two
+    equal points make a bracket 0, as three collinear ones do.  For integer
+    points [123][145][246][356] - [124][135][236][456] is exactly -det of
+    the 6 x 6 conic matrix with rows (x^2, xy, y^2, x, y, 1), so the conic
+    test agrees with exact_rank(conic matrix) == 6.
     """
     b = [(x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1) for (x1, y1), (x2, y2), (x3, y3) in combinations(pts, 3)]
     return all(b) and b[0] * b[7] * b[14] * b[18] != b[1] * b[5] * b[12] * b[19]
@@ -194,7 +195,7 @@ def point_config(seed: int) -> PointConfig:
     rng = random.Random(seed)
     for _ in range(10):
         pts = tuple((rng.randint(1, COORD_MAX), rng.randint(1, COORD_MAX)) for _ in range(6))
-        if len(set(pts)) == 6 and _general_position(pts):
+        if _general_position(pts):
             return PointConfig(seed=seed, points=pts)
     raise DegeneratePoints(f"no general-position sample after 10 tries (seed {seed})")
 

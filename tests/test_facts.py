@@ -167,7 +167,6 @@ def test_verdict_constants_equal_fresh_verdicts():
         "_NOT_APPLICABLE_G": KleppeVerdict(kind="NotApplicable", failed_hypothesis="g<3d-18"),
         "_NOT_APPLICABLE_H1_IC1": KleppeVerdict(kind="NotApplicable", failed_hypothesis="not-linearly-normal"),
         "_NOT_APPLICABLE_H1_IC3": KleppeVerdict(kind="NotApplicable", failed_hypothesis="h1_ic3=0"),
-        "_KNOWN_RANGE_D14_17": KleppeVerdict(kind="KnownRange", range_tag="d14-17"),
         "_KNOWN_RANGE_D18": KleppeVerdict(kind="KnownRange", range_tag="d18+"),
         "_OPEN": KleppeVerdict(kind="Open"),
     }

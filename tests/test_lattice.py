@@ -70,6 +70,12 @@ def test_arithmetic_with_a_non_class_operand_is_a_type_error(op, others):
             op(other, c)
 
 
+def test_divisor_class_needs_six_coefficients():
+    for b in ((1, 2), (), (1, 1, 1, 1, 1, 1, 1)):
+        with pytest.raises(ValueError):
+            DivisorClass(1, b)
+
+
 def test_coefficients_must_be_integers():
     # int() would truncate 12.9 to 12 and split "444444" into six digits
     with pytest.raises(TypeError):

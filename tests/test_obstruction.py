@@ -164,6 +164,8 @@ def test_gen_obstructed_validation():
         gen_obstructed(1, (1, 1, 1, 0, 0, 0))  # a < b1+b2+b3
     with pytest.raises(DprimeNotNef):
         gen_obstructed(1, (3, 0, 1, 0, 0, 0))  # not descending
+    with pytest.raises(DprimeNotNef):
+        gen_obstructed(0, (1, 0, 0))  # three entries, not six
     with pytest.raises(TypeError):
         gen_obstructed(0, (0.9, 0, 0, 0, 0, 0))  # not truncated to a = 0
     with pytest.raises(TypeError):

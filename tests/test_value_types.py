@@ -2,7 +2,8 @@
 
 Every record type is a NamedTuple: a field cannot be assigned, the field
 order is pinned (the CLI's JSON follows it through _asdict), two census runs
-give equal records with equal hashes, and CurveFacts.pairings is the line
+give equal records with equal hashes, every record but CurveReport (whose
+abnormality is a dict) hashes by value, and CurveFacts.pairings is the line
 pairing of L = C + 3K.  DivisorClass is a hand-written immutable class with
 the contract a frozen dataclass gave it: its repr, hash((a, b)), equality
 with classes only, no order, and pickle and copy round-trips.  Perm and
@@ -21,6 +22,7 @@ from cubiccurves.curve import CurveFacts, CurveReport, curve_facts, normality_pr
 from cubiccurves.lattice import K, Cremona, DivisorClass, Perm, StandardReduction, line_pairings, reduce_to_standard
 from cubiccurves.obstruction import HilbertDimResult, KleppeVerdict, ObstructionVerdict
 from cubiccurves.oracle import PointConfig, point_config
+from cubiccurves.verify import CheckResult
 
 FIELDS = {
     CurveFacts: ("standard", "d", "g", "h0s", "h2s", "defects", "h2"),
@@ -35,6 +37,7 @@ FIELDS = {
     PointConfig: ("seed", "points"),
     Perm: ("sigma",),
     Cremona: ("i", "j", "k"),
+    CheckResult: ("check_id", "status", "detail"),
 }
 
 
@@ -48,20 +51,39 @@ def _values(r: CensusRecord):
             KleppeVerdict: r.kleppe, CurveFacts: curve_facts(r.cls), CohomologyTriple: cohomology(r.cls),
             ZariskiDecomposition: fixed_part(r.cls), StandardReduction: reduce_to_standard(r.cls),
             CurveReport: normality_profile(r.cls), PointConfig: point_config(0),
-            Perm: Perm((2, 1, 3, 4, 5, 6)), Cremona: Cremona(1, 2, 3)}
+            Perm: Perm((2, 1, 3, 4, 5, 6)), Cremona: Cremona(1, 2, 3),
+            CheckResult: CheckResult("canonical-class", "PASS", "K = (-3;-1,-1,-1,-1,-1,-1)")}
+
+
+def _regression_record() -> CensusRecord:
+    # (12; 4,4,4,4,2,2), the paper's (16, 29) regression class: Obstructed with m = 1
+    (r,) = [r for r in census_range(16, 16, 29, 29)[0] if str(r.cls) == "12;4,4,4,4,2,2"]
+    return r
 
 
 @pytest.mark.parametrize("kind", list(FIELDS), ids=lambda t: t.__name__)
 def test_fields_are_pinned_and_read_only(kind):
     assert kind._fields == FIELDS[kind]
-    # (12; 4,4,4,4,2,2), the paper's (16, 29) regression class: Obstructed with m = 1
-    (r,) = [r for r in census_range(16, 16, 29, 29)[0] if str(r.cls) == "12;4,4,4,4,2,2"]
-    value = _values(r)[kind]
+    value = _values(_regression_record())[kind]
     for field in kind._fields:
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
     with pytest.raises(AttributeError):
         value.extra = 0
+
+
+@pytest.mark.parametrize("kind", [k for k in FIELDS if k is not CurveReport], ids=lambda t: t.__name__)
+def test_records_hash_by_value(kind):
+    value = _values(_regression_record())[kind]
+    assert hash(value) == hash(kind._make(value)) == hash(tuple(value))
+
+
+def test_curve_report_is_the_unhashable_record():
+    # abnormality is a dict, read as abnormality[n] by the CLI and the tests
+    report = _values(_regression_record())[CurveReport]
+    assert report.abnormality == {1: 0, 2: 0, 3: 2}
+    with pytest.raises(TypeError):
+        hash(report)
 
 
 def test_two_census_runs_give_equal_records_and_hashes():
