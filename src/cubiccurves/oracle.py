@@ -9,25 +9,23 @@ with one condition per partial derivative of order < bi per point.
 Negative bi are first clamped to 0 (forced fixed exceptional components do
 not change h0) and a < 0 gives 0 outright.  Classes that still have
 a > A_MAX after clamping are turned away (OracleTooLarge) instead of
-running for minutes.  That one rule bounds the cost.  Only the three
-lighter points' rows are eliminated, on the monomials the three heaviest
-leave, and no lighter point outweighs a heavy one: more rows come only with
-fewer monomials.  Over every class with a <= A_MAX the elimination is
-largest at (30; 12^6), 234 rows on 262 monomials, and its three seeds take
-under a second.
+running for minutes.  That one rule bounds the cost.
 
 The rank is taken over Z/P with the prime P = 2^61 - 1 (no floating point),
-after one projective change of coordinates per point set (condition_rank).
-The three points of largest multiplicity go to the coordinate points
-[0:0:1], [0:1:0], [1:0:0], where "multiplicity >= m" only says that the
-coefficients of some monomials vanish; the monomials they kill are counted
-and only the other three points' conditions are eliminated, on the
-monomials left.  The rank mod P is the same as that of the untransformed
-matrix: the change of coordinates is invertible over F_P (its determinant
-is a nonzero integer below P in absolute value), it maps "vanishes to order
-m at p" onto "vanishes to order m at its image", and P exceeds every
-degree, so derivatives of order < m describe order-m vanishing over F_P as
-they do over Q.  A degenerate point set raises DegeneratePoints.
+in a frame chosen per point set (condition_rank).  The three points of
+largest multiplicity go to the coordinate points [0:0:1], [0:1:0], [1:0:0],
+where "multiplicity >= m" only says that the coefficients of some monomials
+vanish; those monomials are counted, not eliminated.  The torus left over
+takes the heaviest other point p3 to [1:1:1], where its rows do not depend
+on the points: they are eliminated once per call (_frame), and each seed
+eliminates only the two lightest points' rows, against p3's pivots and their
+own.  The rank mod P is that of the untransformed matrix: the change of
+coordinates is invertible over F_P (its determinant and the brackets that
+scale p3 are nonzero integers below P in absolute value), it maps "vanishes
+to order m at p" onto "vanishes to order m at its image", and P exceeds
+every degree, so derivatives of order < m describe order-m vanishing over
+F_P as they do over Q.  A degenerate point set raises DegeneratePoints.
+Over a <= A_MAX the work peaks at (30; 12^6), under half a second a call.
 
 A minor that is nonzero mod P is nonzero over the integers, and ranks at
 special points can only drop, so
@@ -124,41 +122,45 @@ def _folds(bound: int) -> int:
     return n
 
 
-def _eliminate(packed: list[int], cols: int, nbytes: int) -> int:
+def _eliminate(packed: list[int], cols: int, nbytes: int, pivots: list) -> int:
     """Rank over Z/P of packed rows: one slot of W = 8 * nbytes bits per column.
 
-    The leading column sits in the lowest slot.  Pivots on the first row
-    whose leading slot is nonzero mod P.  The pivot row is folded below 2^62
-    per slot, scaled to lead with -1 and folded below 2^62 again, all on the
-    packed row.  Clearing the leading column of any other row r is then one
-    big-int multiply-add (r >> W) + ((r & mask) % P) * pivot, which also
-    drops that column.  Rows that are zero mod P ride along with factor 0.
-    Other rows are never reduced.  Slots must start below P^2, and nbytes
-    be _slot_bytes(k) for some k >= min(rows, cols), the most pivots there
-    can be; then no slot ever carries into its neighbour.
+    The leading column sits in the lowest slot.  At column c the pivot is
+    pivots[c] if recorded, else the first row whose leading slot is nonzero
+    mod P, folded below 2^62 per slot, scaled to lead with -1, folded below
+    2^62 again, stripped of its leading slot and recorded in pivots[c], all
+    on the packed row.  Clearing the leading column of any other row r is
+    then one big-int multiply-add (r >> W) + ((r & mask) % P) * pivot, which
+    also drops that column.  Rows that are zero mod P ride along with factor
+    0.  Other rows are never reduced.  Returns the count of pivots found.
+    Slots must start below P^2, and nbytes be _slot_bytes(k) for k >= the
+    most pivots, recorded or found; then no slot ever carries.
     """
     width = 8 * nbytes
     mask = (1 << width) - 1
-    low = _pack([P] * cols, nbytes)
-    high = _pack([(1 << (width - 61)) - 1] * cols, nbytes)
+    ones = ((1 << width * cols) - 1) // mask  # 1 in every slot
+    low, high = P * ones, ((1 << (width - 61)) - 1) * ones
     before, after = _folds(1 << width), _folds((P - 1) << 62)
     rank = 0
-    for _ in range(cols):
+    for c in range(cols):
         if not packed:
             break
-        piv_idx = next((i for i, r in enumerate(packed) if (r & mask) % P), None)
-        if piv_idx is None:
-            packed = [r >> width for r in packed]
-            continue
-        pivot = packed.pop(piv_idx)
-        lead = (pivot & mask) % P
-        pivot >>= width
-        for _ in range(before):
-            pivot = _fold(pivot, low, high)
-        pivot *= P - pow(lead, -1, P)
-        for _ in range(after):
-            pivot = _fold(pivot, low, high)
-        rank += 1
+        pivot = pivots[c]
+        if pivot is None:
+            piv_idx = next((i for i, r in enumerate(packed) if (r & mask) % P), None)
+            if piv_idx is None:
+                packed = [r >> width for r in packed]
+                continue
+            pivot = packed.pop(piv_idx)
+            lead = (pivot & mask) % P
+            pivot >>= width
+            for _ in range(before):
+                pivot = _fold(pivot, low, high)
+            pivot *= P - pow(lead, -1, P)
+            for _ in range(after):
+                pivot = _fold(pivot, low, high)
+            pivots[c] = pivot
+            rank += 1
         packed = [(r >> width) + (r & mask) % P * pivot for r in packed]
     return rank
 
@@ -167,7 +169,7 @@ def modular_rank(rows) -> int:
     """Rank over Z/P of an integer matrix, by packed-row elimination (_eliminate)."""
     cols = len(rows[0]) if rows else 0
     nbytes = _slot_bytes(min(len(rows), cols))
-    return _eliminate([_pack([x % P for x in row], nbytes) for row in rows], cols, nbytes)
+    return _eliminate([_pack([x % P for x in row], nbytes) for row in rows], cols, nbytes, [None] * cols)
 
 
 class PointConfig(NamedTuple):
@@ -210,22 +212,69 @@ def _derivatives(x: int, a: int, m: int) -> list[list[int]]:
     return d[:m]
 
 
-def condition_rank(a: int, mults, cfg: PointConfig) -> int:
+def _rows(x: int, y: int, m: int, a: int, nbytes: int, cuts) -> list[int]:
+    """The packed rows of (d/dx)^j (d/dy)^k, j + k < m, at (x, y) on the monomials cuts leaves."""
+    dy = _derivatives(y, a, m)
+    rows = []
+    for j, dxj in enumerate(_derivatives(x, a, m)):
+        # (d/dx)^j x^u packed once and cut into the runs, at their columns;
+        # the row of (d/dx)^j (d/dy)^k weights run v by (d/dy)^k y^v
+        row = _pack(dxj, nbytes)
+        runs_x = [(v, ((row >> lo) & keep) << off) for v, lo, keep, off in cuts]
+        rows += [sum([dyk[v] * run for v, run in runs_x]) for dyk in dy[: m - j]]
+    return rows
+
+
+def _frame(a: int, mults):
+    """condition_rank's seed-independent part: (heavy, light, cuts, nbytes, pivots, rank).
+
+    light holds the other points with mults > 0, p3 first; pivots holds p3's
+    pivot row per column (or None) from its rows at (1, 1), and rank the
+    monomials the heavy points kill plus those rows' rank.
+    """
+    order = sorted(range(len(mults)), key=lambda i: -mults[i])
+    heavy, light = order[:3], [i for i in order[3:] if mults[i] > 0]
+    m0, m1, m2 = (mults[i] for i in heavy)
+    # the monomials left: for each v <= a - m1, the run of u from
+    # max(m0 - v, 0) to min(a - m2, a - v), at column offset off
+    runs, cols = [], 0
+    for v in range(a - m1 + 1):
+        lo, hi = max(m0 - v, 0), min(a - m2, a - v) + 1
+        if lo < hi:
+            runs.append((v, lo, hi, cols))
+            cols += hi - lo
+    nbytes = _slot_bytes(min(sum(mults[i] * (mults[i] + 1) // 2 for i in light), cols))
+    width = 8 * nbytes
+    # each run as (v, shift to its first u, mask of its slots, shift to its columns)
+    cuts = [(v, width * lo, (1 << width * (hi - lo)) - 1, width * off) for v, lo, hi, off in runs]
+    pivots = [None] * cols
+    rank = (a + 1) * (a + 2) // 2 - cols
+    if light and cols:
+        rank += _eliminate(_rows(1, 1, mults[light[0]], a, nbytes, cuts), cols, nbytes, pivots)
+    return heavy, light, cuts, nbytes, pivots, rank
+
+
+def condition_rank(a: int, mults, cfg: PointConfig, frame=None) -> int:
     """Rank mod P of the conditions "multiplicity >= mults[i] at point i" on degree a.
 
     The three heaviest points p0, p1, p2 (ties by index) go to [0:0:1],
     [0:1:0] and [1:0:0] by adj(M), M = [p2 | p1 | p0].  There the
     conditions on the coefficient of x^u y^v say it is 0 when u + v < m0,
     when v > a - m1 or when u > a - m2.  Those monomials count once each,
-    however many of the three kill them.  The other points, mapped by adj(M)
-    and scaled into the chart z = 1 mod P, give one row per partial
-    derivative of order < m over the monomials left, ordered by v and then
-    u, and those rows are eliminated.  DegeneratePoints if det M or the
-    last coordinate of a mapped point is 0 mod P.
+    however many of the three kill them.  The torus x -> sx x, y -> sy y
+    then takes the heaviest lighter point p3 to [1:1:1]; it scales columns
+    by sx^u sy^v and rows by units, which keeps the rank.  In the chart
+    z = 1 each lighter point gives one row per partial derivative of order
+    < m over the monomials left, ordered by v and then u.  p3's rows,
+    u!/(u-j)! v!/(v-k)!, are the same at every seed and come first, so
+    _eliminate pivots on them wherever one leads, and a later row pivots
+    only where all of them are 0, leaving them unchanged: p3's pivot rows
+    depend on a and mults alone.  frame (_frame, once per h0_interpolation
+    call) holds them, and only the other lighter points' rows are
+    eliminated here.  DegeneratePoints if det M, the last coordinate of a
+    mapped point or a chart coordinate of p3 is 0 mod P.
     """
-    order = sorted(range(len(mults)), key=lambda i: -mults[i])
-    heavy, light = order[:3], order[3:]
-    m0, m1, m2 = (mults[i] for i in heavy)
+    heavy, light, cuts, nbytes, pivots, rank = frame or _frame(a, mults)
     (x0, y0), (x1, y1), (x2, y2) = (cfg.points[i] for i in heavy)
     # rows of adj(M): p1 x p0, p0 x p2 and p2 x p1, whose dot with p is det[p2 | p1 | p]
     adj = (
@@ -237,53 +286,37 @@ def condition_rank(a: int, mults, cfg: PointConfig) -> int:
         raise DegeneratePoints(f"points {heavy} of seed {cfg.seed} are collinear mod P")
     points = []
     for i in light:
-        if mults[i] <= 0:
-            continue
         x, y = cfg.points[i]
         X, Y, Z = (r[0] * x + r[1] * y + r[2] for r in adj)
         if Z % P == 0:
             raise DegeneratePoints(f"points {[heavy[2], heavy[1], i]} of seed {cfg.seed} are collinear mod P")
+        if not points:  # p3: X = det[p1 | p0 | p3] and Y = det[p0 | p2 | p3]
+            for n, pair in ((X, heavy[1::-1]), (Y, heavy[::2])):
+                if n % P == 0:
+                    raise DegeneratePoints(f"points {[*pair, i]} of seed {cfg.seed} are collinear mod P")
+            sx, sy = Z * pow(X, -1, P) % P, Z * pow(Y, -1, P) % P
         zinv = pow(Z, -1, P)
-        points.append((X * zinv % P, Y * zinv % P, mults[i]))
-    # the monomials left: for each v <= a - m1, the run of u from
-    # max(m0 - v, 0) to min(a - m2, a - v), at column offset off
-    runs, cols = [], 0
-    for v in range(a - m1 + 1):
-        lo, hi = max(m0 - v, 0), min(a - m2, a - v) + 1
-        if lo < hi:
-            runs.append((v, lo, hi, cols))
-            cols += hi - lo
-    fixed = (a + 1) * (a + 2) // 2 - cols
-    if not cols or not points:
-        return fixed
-    nbytes = _slot_bytes(min(sum(m * (m + 1) // 2 for _, _, m in points), cols))
-    width = 8 * nbytes
-    # each run as (v, shift to its first u, mask of its slots, shift to its columns)
-    cuts = [(v, width * lo, (1 << width * (hi - lo)) - 1, width * off) for v, lo, hi, off in runs]
-    packed = []
-    for x, y, m in points:
-        dy = _derivatives(y, a, m)
-        for j, dxj in enumerate(_derivatives(x, a, m)):
-            # (d/dx)^j x^u packed once and cut into the runs, at their columns;
-            # the row of (d/dx)^j (d/dy)^k weights run v by (d/dy)^k y^v
-            row = _pack(dxj, nbytes)
-            runs_x = [(v, ((row >> lo) & keep) << off) for v, lo, keep, off in cuts]
-            packed += [sum([dyk[v] * run for v, run in runs_x]) for dyk in dy[: m - j]]
-    return fixed + _eliminate(packed, cols, nbytes)
+        points.append((X * zinv * sx % P, Y * zinv * sy % P, mults[i]))
+    if not pivots:  # the heavy points leave no monomials
+        return rank
+    packed = [r for x, y, m in points[1:] for r in _rows(x, y, m, a, nbytes, cuts)]
+    return rank + _eliminate(packed, len(pivots), nbytes, pivots[:])
 
 
 @lru_cache(maxsize=100_000)
 def _h0_at(d: DivisorClass, seed: int) -> int:
-    """h0 at one seed's points of a class whose bi are already clamped to >= 0."""
-    return (d.a + 1) * (d.a + 2) // 2 - condition_rank(d.a, d.b, point_config(seed))
+    """h0 of a class whose bi are clamped to >= 0, minimized over seeds seed..seed + 2, which share one _frame."""
+    frame = _frame(d.a, d.b)
+    ranks = [condition_rank(d.a, d.b, point_config(s), frame) for s in (seed, seed + 1, seed + 2)]
+    return (d.a + 1) * (d.a + 2) // 2 - max(ranks)
 
 
 def h0_interpolation(d: DivisorClass, seed: int = 0) -> int:
     """h0 of the class by interpolation mod P, minimized over three seeds.
 
     OracleTooLarge when the clamped class has a > A_MAX.  No other bound is
-    needed: over every class with a <= A_MAX the elimination is largest at
-    (A_MAX; 12^6), 234 rows on 262 monomials.
+    needed: over every class with a <= A_MAX the work is largest at
+    (A_MAX; 12^6), p3's 78 rows on 262 monomials once and 156 per seed.
     """
     if d.a < 0:
         return 0
@@ -291,8 +324,8 @@ def h0_interpolation(d: DivisorClass, seed: int = 0) -> int:
         return (d.a + 1) * (d.a + 2) // 2
     clamped = DivisorClass(d.a, tuple(max(x, 0) for x in d.b))
     if clamped.a > A_MAX:
+        note = " (negative bi clamped to 0)" if min(d.b) < 0 else ""
         raise OracleTooLarge(
-            f"class {clamped} (negative bi clamped to 0) is too large for the interpolation oracle: "
-            f"a = {clamped.a} > {A_MAX}"
+            f"class {clamped}{note} is too large for the interpolation oracle: a = {clamped.a} > {A_MAX}"
         )
-    return min(_h0_at(clamped, s) for s in (seed, seed + 1, seed + 2))
+    return _h0_at(clamped, seed)

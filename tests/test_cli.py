@@ -265,6 +265,11 @@ def test_oracle_h0_budget_exits_2(capsys):
         "error: class 31;10,10,0,0,0,0 (negative bi clamped to 0) is too large for the "
         "interpolation oracle: a = 31 > 30\n"
     )
+    # no bi is negative, so nothing was clamped and the message says nothing of it
+    assert run(["oracle-h0", "31;1,0,0,0,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: class 31;1,0,0,0,0,0 is too large for the interpolation oracle: a = 31 > 30\n"
 
 
 def test_oracle_h0_tall_condition_matrix_exits_0(capsys):

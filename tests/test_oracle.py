@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -232,6 +233,16 @@ def test_condition_rank_matches_exact_reference():
         mults = [max(rng.randint(-2, a + 3), 0) for _ in range(6)]
         cfg = point_config(rng.randrange(1 << 20))
         assert condition_rank(a, mults, cfg) == exact_rank(ref_condition_rows(a, mults, cfg)), (a, mults, cfg.seed)
+    # six points on a conic, where these ranks fall below the general ones
+    # (6, 24, 40, 15): the frame must move every point, p3 included, by the
+    # same change of coordinates, not just to some general position
+    parabola = tuple((x, x * x) for x in range(1, 7))
+    circle = ((3, 4), (4, 3), (5, 0), (0, 5), (-3, 4), (4, -3))
+    special = ((2, (1,) * 6, 5), (6, (3, 2, 3, 2, 2, 2), 23), (8, (4, 3, 3, 3, 3, 3), 38), (4, (2,) * 6, 14))
+    for pts in (parabola, circle):
+        for a, mults, rank in special:
+            cfg = PointConfig(0, pts)
+            assert condition_rank(a, mults, cfg) == exact_rank(ref_condition_rows(a, mults, cfg)) == rank, (pts, a)
 
 
 def test_condition_rank_matches_full_modular_rank():
@@ -246,6 +257,19 @@ def test_condition_rank_matches_full_modular_rank():
                 if lo <= sum(m * (m + 1) // 2 for m in mults) <= hi:
                     break
             cfg = point_config(rng.randrange(1 << 20))
+            assert condition_rank(a, mults, cfg) == modular_rank(ref_condition_rows(a, mults, cfg)), (a, mults)
+    # one lighter point, so only p3's shared block is eliminated; and p3's
+    # block of rank below its row count and its monomials left: 10 rows on
+    # 12 monomials of rank 9, 15 rows on 18 of rank 14
+    for a, mults in (
+        (11, (5, 5, 5, 5, 0, 0)),
+        (12, (6, 6, 6, 4, 0, 0)),
+        (14, (7, 7, 5, 6, 0, 0)),
+        (10, (1, 4, 4, 8, 3, 4)),
+        (12, (9, 2, 4, 5, 5, 5)),
+    ):
+        for seed in (0, 1, 2):
+            cfg = point_config(seed)
             assert condition_rank(a, mults, cfg) == modular_rank(ref_condition_rows(a, mults, cfg)), (a, mults)
 
 
@@ -262,21 +286,31 @@ def test_condition_rank_with_fewer_than_three_points():
         assert condition_rank(a, mults, cfg) == exact_rank(ref_condition_rows(a, mults, cfg)), (a, mults)
 
 
+# (points, multiplicities, the DegeneratePoints message): the three heaviest
+# points collinear (det M = 0); a lighter point on the line through two of
+# them (its image is at infinity); and p3, the heaviest lighter point, on the
+# line through p1 and p0 or through p0 and p2, so that a chart coordinate the
+# torus would scale to 1 is 0
+COLLINEAR = (
+    (((1, 1), (2, 2), (3, 3), (5, 17), (11, 40), (23, 91)), (3, 3, 3, 1, 1, 1), "points [0, 1, 2]"),
+    (((1, 1), (2, 2), (3, 3), (5, 17), (11, 40), (23, 91)), (3, 3, 1, 4, 1, 1), "points [1, 0, 2]"),
+    (((1, 1), (2, 5), (7, 3), (3, 9), (11, 40), (23, 91)), (4, 3, 2, 1, 1, 1), "points [1, 0, 3]"),
+    (((1, 1), (2, 5), (7, 3), (4, 2), (11, 40), (23, 91)), (4, 3, 2, 1, 1, 1), "points [0, 2, 3]"),
+)
+
+
 def test_condition_rank_collinear_points_raise_under_O():
-    # the three heaviest points collinear (det M = 0), and a lighter point on
-    # the line through two of them (its image is at infinity); asserts would
-    # vanish under python -O, the DegeneratePoints checks do not
-    pts = ((1, 1), (2, 2), (3, 3), (5, 17), (11, 40), (23, 91))
-    for mults in ((3, 3, 3, 1, 1, 1), (3, 3, 1, 4, 1, 1)):
-        with pytest.raises(DegeneratePoints):
+    # asserts would vanish under python -O, the DegeneratePoints checks do not
+    want = "".join(f"{who} of seed 0 are collinear mod P\n" for _, _, who in COLLINEAR)
+    for pts, mults, who in COLLINEAR:
+        with pytest.raises(DegeneratePoints, match=rf"^{re.escape(who)} of seed 0 are collinear mod P$"):
             condition_rank(8, mults, PointConfig(0, pts))
     src = str(Path(oracle.__file__).resolve().parent.parent)
     code = (
         "import sys; sys.path.insert(0, sys.argv[1])\n"
         "from cubiccurves.errors import DegeneratePoints\n"
         "from cubiccurves.oracle import PointConfig, condition_rank\n"
-        "pts = ((1, 1), (2, 2), (3, 3), (5, 17), (11, 40), (23, 91))\n"
-        "for mults in ((3, 3, 3, 1, 1, 1), (3, 3, 1, 4, 1, 1)):\n"
+        f"for pts, mults, _ in {COLLINEAR!r}:\n"
         "    try:\n"
         "        condition_rank(8, mults, PointConfig(0, pts))\n"
         "    except DegeneratePoints as e:\n"
@@ -284,7 +318,9 @@ def test_condition_rank_collinear_points_raise_under_O():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code, src], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (
+    assert proc.stdout == want
+    # the first two messages as literal bytes
+    assert want.startswith(
         "points [0, 1, 2] of seed 0 are collinear mod P\npoints [1, 0, 2] of seed 0 are collinear mod P\n"
     )
 
@@ -384,7 +420,8 @@ def test_h0_budget():
 
 def test_h0_on_the_square_condition_matrix():
     # no stub: 496 conditions on 496 monomials; the three points of
-    # multiplicity 17 become a count, and 37 rows are eliminated per seed
+    # multiplicity 17 become a count, p3's 36 rows are eliminated once and
+    # one row per seed
     c = D(30, 17, 17, 17, 8, 1, 0)
     assert len(ref_condition_rows(30, c.b, point_config(0))) == 496
     assert h0_interpolation(c) == h0(c) == 18
@@ -396,9 +433,9 @@ def test_h0_on_tall_condition_matrices():
     # eliminated; a heavy point past a leaves no monomials, so no elimination
     assert len(ref_condition_rows(30, (17, 17, 17, 8, 1, 1), point_config(0))) == 497
     for c in (
-        D(30, 17, 17, 17, 8, 1, 1),  # 497 x 496, 38 rows eliminated
-        D(30, 13, 13, 13, 13, 13, 13),  # 546 x 496, 273 x 223 eliminated
-        D(30, 16, 16, 16, 16, 16, 16),  # 816 x 496, 408 x 91 eliminated
+        D(30, 17, 17, 17, 8, 1, 1),  # 497 x 496, 36 rows once, 2 per seed
+        D(30, 13, 13, 13, 13, 13, 13),  # 546 x 496, 91 x 223 once, 182 x 223 per seed
+        D(30, 16, 16, 16, 16, 16, 16),  # 816 x 496, 136 x 91 once, 272 x 91 per seed
         D(30, 106, 0, 0, 0, 0, 0),  # 5,671 x 496, nothing eliminated
     ):
         assert h0_interpolation(c) == h0(c), c
@@ -410,29 +447,68 @@ def _monomials_left(a: int, m0: int, m1: int, m2: int) -> int:
     return sum(max(0, min(a - m2, a - v) + 1 - max(m0 - v, 0)) for v in range(a - m1 + 1))
 
 
-def _elimination_work(rows: int, cols: int) -> int:
-    """Cells a pivot pass can touch: sum over pivots k of (rows - k)(cols - k)."""
-    return sum((rows - k) * (cols - k) for k in range(min(rows, cols)))
+def _elimination_work(rows: int, cols: int, recorded: int = 0) -> int:
+    """Cells an _eliminate pass can touch, with its recorded pivots taken first.
+
+    Each recorded pivot updates every row, each pivot found drops a row, and
+    either drops a column.  With recorded = 0 it is sum over pivots k of
+    (rows - k)(cols - k).
+    """
+    return sum(rows * (cols - k) for k in range(recorded)) + sum(
+        (rows - k) * (cols - recorded - k) for k in range(min(rows, cols - recorded))
+    )
+
+
+def _call_work(m0: int, m1: int, m2: int) -> int:
+    """One h0_interpolation call's work with three light points of multiplicity m2.
+
+    p3's rows are eliminated once; at each of the three seeds the two other
+    lighter points' rows are eliminated against p3's pivots (at most
+    min(rows, cols) of them) and their own.
+    """
+    rows, cols = m2 * (m2 + 1) // 2, _monomials_left(A_MAX, m0, m1, m2)
+    return _elimination_work(rows, cols) + 3 * _elimination_work(2 * rows, cols, min(rows, cols))
 
 
 def test_worst_case_elimination_is_a_max_twelve_sixfold(monkeypatch):
-    # The work grows with the lighter points' rows, and none of them is
-    # heavier than the third heaviest point m2, so three copies of m2 are
-    # the worst light triple.  The monomials left only grow with a, so
-    # a = A_MAX covers every smaller a, and a heavy multiplicity past A_MAX
-    # leaves none; that leaves the 5,456 sorted heavy triples in 0..A_MAX.
+    # The work grows with every lighter point's rows (with p3's too: one more
+    # recorded pivot at column k adds rows * (cols - k) cells and saves the
+    # other rows at most as many), and none is heavier than the third
+    # heaviest point m2, so three copies of m2 are the worst light triple.
+    # The monomials left only grow with a, so a = A_MAX covers every smaller
+    # a, and a heavy multiplicity past A_MAX leaves none; that leaves the
+    # 5,456 sorted heavy triples in 0..A_MAX.
     work, worst = max(
-        (_elimination_work(3 * m2 * (m2 + 1) // 2, _monomials_left(A_MAX, m0, m1, m2)), (m0, m1, m2))
+        (_call_work(m0, m1, m2), (m0, m1, m2))
         for m0 in range(A_MAX + 1)
         for m1 in range(m0 + 1)
         for m2 in range(m1 + 1)
     )
-    assert (A_MAX, worst, work) == (30, (12, 12, 12), 5_068_245)
-    # the kernel eliminates exactly the modelled shape: 234 rows on 262 monomials
+    assert (A_MAX, worst, work) == (30, (12, 12, 12), 13_748_449)
+    # the kernel eliminates exactly the modelled shapes: p3's 78 rows on 262
+    # monomials once, of full rank, then 156 rows against its 78 pivots per seed
     shapes = []
-    monkeypatch.setattr(oracle, "_eliminate", lambda packed, cols, nbytes: shapes.append((len(packed), cols)) or 0)
-    condition_rank(A_MAX, (12,) * 6, point_config(0))
-    assert shapes == [(234, 262)]
+    eliminate = oracle._eliminate
+
+    def spy(packed, cols, nbytes, pivots):
+        shapes.append((len(packed), cols, sum(p is not None for p in pivots)))
+        return eliminate(packed, cols, nbytes, pivots)
+
+    monkeypatch.setattr(oracle, "_eliminate", spy)
+    oracle._h0_at.cache_clear()
+    assert h0_interpolation(D(A_MAX, *(12,) * 6)) == 28
+    assert shapes == [(78, 262, 0)] + [(156, 262, 78)] * 3
+
+
+def test_h0_interpolation_builds_p3_rows_once_per_call(monkeypatch):
+    # p3 sits at (1, 1) at every seed, so a call builds its rows once, and
+    # each of the three seeds builds only the two other lighter points' rows
+    built = []
+    rows = oracle._rows
+    monkeypatch.setattr(oracle, "_rows", lambda x, y, *args: built.append((x, y)) or rows(x, y, *args))
+    oracle._h0_at.cache_clear()
+    assert h0_interpolation(D(12, 4, 4, 4, 4, 2, 2), 5) == 45
+    assert built.count((1, 1)) == 1 and len(built) == 7
 
 
 def test_oracle_engine_agreement_small():
