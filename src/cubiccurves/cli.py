@@ -21,19 +21,17 @@ from .cohomology import cohomology
 from .errors import DegeneratePoints, PreconditionError
 from .lattice import DivisorClass, Perm, reduce_to_standard
 
-class ClassParseError(Exception):
-    def __init__(self, text: str, pos: int, message: str):
-        super().__init__(message)
-        self.text = text
-        self.pos = pos
-        self.message = message
 
-    def render(self) -> str:
-        return (
-            f"error: invalid class '{self.text}'\n"
-            f"  {self.text}\n"
-            f"  {' ' * self.pos}^ {self.message}"
-        )
+class _UsageError(Exception):
+    pass
+
+
+class ClassParseError(_UsageError):
+    """A class that does not parse; its str() is the error line and a caret under pos."""
+
+    def __init__(self, text: str, pos: int, message: str):
+        super().__init__(f"error: invalid class '{text}'\n  {text}\n  {' ' * pos}^ {message}")
+        self.pos = pos
 
 
 _INT = re.compile(r"[+-]?([0-9]+)")
@@ -75,10 +73,6 @@ def parse_class(text: str) -> DivisorClass:
     return DivisorClass(a, b)
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage problems, not argparse's 2
         raise _UsageError(f"{self.format_usage()}error: {message}")
@@ -90,12 +84,8 @@ def _word_json(word) -> list:
 
 def _verdict_json(v) -> dict:
     return {
-        "kind": v.kind,
-        "vanishing": list(v.vanishing),
+        **v._asdict(),
         "witness_line": str(v.witness_line) if v.witness_line is not None else None,
-        "m": v.m,
-        "rule": v.rule,
-        "reason": v.reason,
         "witnesses": [{"line": str(l), "m": m, "rule": r} for l, m, r in v.witnesses],
     }
 
@@ -132,8 +122,7 @@ def _cmd_invariants(cls: DivisorClass) -> dict:
 
 
 def _cmd_cohomology(cls: DivisorClass) -> dict:
-    t = cohomology(cls)
-    return {"class": str(cls), "h0": t.h0, "h1": t.h1, "h2": t.h2, "chi": t.chi}
+    return {"class": str(cls), **cohomology(cls)._asdict()}
 
 
 def _cmd_normality(cls: DivisorClass) -> dict:
@@ -429,9 +418,6 @@ def run(argv=None) -> int:
         text, code = args.run(args)
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    except ClassParseError as e:
-        print(e.render(), file=sys.stderr)
-        return 1
     except _UsageError as e:
         print(e, file=sys.stderr)
         return 1

@@ -132,18 +132,6 @@ class HilbertDimResult(NamedTuple):
     hi: int | None = None
 
 
-def _exact(value: int, method: str, d: int) -> HilbertDimResult:
-    if value < 4 * d:
-        raise InvariantViolation(f"{method} dimension {value} below 4d = {4 * d}")
-    return HilbertDimResult("exact", method, value)
-
-
-def _interval(lo: int, hi: int, method: str) -> HilbertDimResult:
-    if lo > hi:
-        raise InvariantViolation(f"empty {method} interval [{lo}, {hi}]")
-    return HilbertDimResult("interval", method, None, lo, hi)
-
-
 def hilbert_dim(c: DivisorClass) -> HilbertDimResult:
     """Local dimension of the Hilbert scheme of space curves at [C] (d > 9).
 
@@ -161,24 +149,35 @@ def hilbert_dim(c: DivisorClass) -> HilbertDimResult:
 
 def dim_of(facts: CurveFacts, verdict: ObstructionVerdict, kleppe: KleppeVerdict) -> HilbertDimResult:
     """The hilbert_dim result of the class behind facts, read off h0(N) and
-    its verdict_of and kleppe_of results."""
+    its verdict_of and kleppe_of results.
+
+    Every caller passes verdict_of(facts) and kleppe_of(facts), for which
+    the bounds below hold by arithmetic, so none is checked again here.
+    _h0_normal has checked (*) n = 4d + h2 = d+g+18 + h1(I_C(3)), where
+    h2 >= 0 is an h0 and _standard_facts has checked h1(I_C(3)) >= 0.
+    - Obstructed and Undetermined need h1(I_C(3)) >= 1 and h2 >= 1 (else
+      verdict_of says Unobstructed), so d+g+18 <= n - 1 by (*).
+    - Each exact value is >= 4d: smooth-point is n = 4d + h2; theorem-1.1 is
+      d+g+18 >= 4d, as ProvenTheorem1 needs g >= 3d-18; prop-4.5 is n - 1 = 4d.
+    - Each interval is non-empty: an Obstructed one has h2 >= 2 (h2 = 1 is
+      prop-4.5), so n - 1 >= 4d + 1; an Undetermined one has n >= 4d.
+    - theorem-1.1 agrees with prop-4.5 when h2 = 1: (*) gives d+g+18 =
+      4d + 1 - h1(I_C(3)) >= 4d with h1(I_C(3)) >= 1, so h1(I_C(3)) = 1
+      and d+g+18 = 4d = n - 1.
+    """
     d = facts.d
     if d <= 9:
         raise DegreeTooSmall(f"dimension rules require degree > 9, got d={d}")
     n = _h0_normal(facts)
     if verdict.kind == "Unobstructed":
-        return _exact(n, "smooth-point", d)
-    if verdict.kind == "Obstructed":
-        if kleppe.kind == "ProvenTheorem1":
-            if facts.h2 == 1 and kleppe.dim != n - 1:
-                raise InvariantViolation(
-                    f"theorem-1.1 ({kleppe.dim}) and prop-4.5 ({n - 1}) disagree for {facts.standard}"
-                )
-            return _exact(kleppe.dim, "theorem-1.1", d)
-        if facts.h2 == 1:
-            return _exact(n - 1, "prop-4.5", d)
-        return _interval(4 * d, n - 1, "theorem-4.3")
-    return _interval(4 * d, n, "theorem-4.3")
+        return HilbertDimResult("exact", "smooth-point", n)
+    if verdict.kind == "Undetermined":
+        return HilbertDimResult("interval", "theorem-4.3", None, 4 * d, n)
+    if kleppe.kind == "ProvenTheorem1":
+        return HilbertDimResult("exact", "theorem-1.1", kleppe.dim)
+    if facts.h2 == 1:
+        return HilbertDimResult("exact", "prop-4.5", n - 1)
+    return HilbertDimResult("interval", "theorem-4.3", None, 4 * d, n - 1)
 
 
 class KleppeVerdict(NamedTuple):

@@ -547,7 +547,9 @@ def test_criterion_10_consistency_web(capfd, census):
     # smooth-point = h0(N) exactly when Unobstructed; theorem-1.1 exactly when
     # Obstructed and ProvenTheorem1, at the Kleppe dimension d+g+18; prop-4.5
     # = 4d = h0(N) - 1; every interval [4d, h0(N) - 1] when Obstructed and
-    # [4d, h0(N)] otherwise
+    # [4d, h0(N)] otherwise.  The bounds dim_of's docstring proves hold on
+    # every record: an exact value is >= 4d, an interval is non-empty with
+    # d+g+18 <= hi, and theorem-1.1 with h2 = 1 equals prop-4.5's 4d
     bad = []
     records, _ = census
     for r in records:
@@ -555,6 +557,12 @@ def test_criterion_10_consistency_web(capfd, census):
         obstructed = r.verdict.kind == "Obstructed"
         if n != r.dim_w + r.h1_ic3:
             bad.append(f"{r.cls}: h0(N) {n} != {r.dim_w + r.h1_ic3}")
+        if r.dim.kind == "exact" and r.dim.value < 4 * r.d:
+            bad.append(f"{r.cls}: exact dimension {r.dim.value} < 4d = {4 * r.d}")
+        if r.dim.kind == "interval" and not (r.dim.lo <= r.dim.hi and r.dim_w <= r.dim.hi):
+            bad.append(f"{r.cls}: interval [{r.dim.lo}, {r.dim.hi}] empty or below d+g+18 = {r.dim_w}")
+        if r.kleppe.kind == "ProvenTheorem1" and r.h2 == 1 and not r.kleppe.dim == n - 1 == 4 * r.d:
+            bad.append(f"{r.cls}: theorem-1.1 {r.kleppe.dim}, h0(N) - 1 = {n - 1}, 4d = {4 * r.d}")
         if r.verdict.kind == "Unobstructed":
             want = ("exact", "smooth-point", n)
         elif obstructed and r.kleppe.kind == "ProvenTheorem1":

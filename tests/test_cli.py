@@ -43,7 +43,7 @@ def test_parse_class_errors(text, caret_at):
     with pytest.raises(ClassParseError) as exc:
         parse_class(text)
     assert exc.value.pos == caret_at
-    rendered = exc.value.render().splitlines()
+    rendered = str(exc.value).splitlines()
     assert rendered[2][2 + caret_at] == "^"
 
 

@@ -87,30 +87,83 @@ CASES = {
         ["gen-obstructed", "--k", "1"],
         "classifies as Unobstructed",
     ),
+    # every line read as e1 makes the two fixed lines e5, e6 of (16, 29)'s
+    # C + 3K the same line, which meets itself in -1
+    "fixed-lines-disjoint": (
+        "co = importlib.import_module('cubiccurves.cohomology'); co._LINES = (co._LINES[0],) * 27",
+        ["verify-paper"],
+        "are not pairwise disjoint",
+    ),
+    # a nef part read as not nef
+    "fixed-part-nef": (
+        "importlib.import_module('cubiccurves.cohomology').is_nef = lambda d: False",
+        ["verify-paper"],
+        "is not nef or meets a fixed line",
+    ),
+    # the nef part (3; 1,1,1,1,0,0) of (16, 29)'s C + 3K read as
+    # (3; 1,1,1,0,0,0), which is nef and meets e5 and e6 in 0 but does not
+    # add up to C + 3K with them
+    "fixed-part-sum": (
+        "co = importlib.import_module('cubiccurves.cohomology'); D = co.DivisorClass;"
+        " co.DivisorClass = lambda a, b: D(a, b[:3] + (0, 0, 0))",
+        ["verify-paper"],
+        "plus the fixed lines is not",
+    ),
+    # a Hodge bound read as -1 puts every genus out of range
+    "normality-genus-range": (
+        "importlib.import_module('cubiccurves.curve').hodge_genus_bound = lambda d: -1",
+        ["normality", "12;4,4,4,4,2,2"],
+        "genus 29 outside [0, -1]",
+    ),
+    # defects read as (1, 0, 0): 2-normal but not 1-normal, while C + 2K
+    # has positive square and a section
+    "normality-monotone": (
+        "cu = importlib.import_module('cubiccurves.curve'); facts = cu.curve_facts;"
+        " cu.curve_facts = lambda c: facts(c)._replace(defects=(1, 0, 0))",
+        ["normality", "12;4,4,4,4,2,2"],
+        "is 2-normal but not m-normal",
+    ),
+    # every line meeting L = C + 3K in 0 makes L nef although h1(-L) and
+    # h2(-L) are nonzero
+    "adjoint-nef-with-h1-h2": (
+        "importlib.import_module('cubiccurves.curve').line_pairings = lambda a, b: (0,) * 27",
+        ["classify", "12;4,4,4,4,2,2"],
+        "is nef while h1(-L) and h2(-L) are nonzero",
+    ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_invariant_violation_exits_3_under_O(case):
-    patch, argv, fragment = CASES[case]
-    proc = subprocess.run(
+def _run_under_O(patch, argv):
+    return subprocess.run(
         [sys.executable, "-O", "-c", SCRIPT.format(patch=patch), SRC, *argv],
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_invariant_violation_exits_3_under_O(case):
+    patch, argv, fragment = CASES[case]
+    proc = _run_under_O(patch, argv)
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("internal error: InvariantViolation(")
     assert fragment in proc.stderr
 
 
-def test_unpatched_run_exits_0_under_O():
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", SCRIPT.format(patch=""), SRC, "classify", "12;4,4,4,4,2,2"],
-        capture_output=True,
-        text=True,
-        timeout=120,
+def test_point_config_gives_up_after_ten_tries_under_O():
+    # no sample in general position: DegeneratePoints, not an InvariantViolation
+    proc = _run_under_O(
+        "importlib.import_module('cubiccurves.oracle')._general_position = lambda pts: False",
+        ["oracle-h0", "12;4,4,4,4,2,2"],
     )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal error: DegeneratePoints('no general-position sample after 10 tries")
+
+
+def test_unpatched_run_exits_0_under_O():
+    proc = _run_under_O("", ["classify", "12;4,4,4,4,2,2"])
     assert proc.returncode == 0, proc.stderr
     assert "kind: Obstructed" in proc.stdout
