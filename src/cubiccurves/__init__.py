@@ -19,8 +19,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "census": "CensusRecord census_csv census_range enumerate_families",
-        "cohomology": "CohomologyTriple ZariskiDecomposition adjoint_fixed_part cohomology euler_char"
-        " fixed_part h0 is_effective is_nef",
+        "cohomology": "CohomologyTriple ZariskiDecomposition cohomology euler_char fixed_part h0 is_effective is_nef",
         "curve": "CurveReport abnormality has_smooth_member hodge_genus_bound invariants normality_profile"
         " require_smooth_member",
         "errors": "DegeneratePoints DegreeTooSmall DprimeNotNef GenusOutOfHodgeRange InvalidK InvariantViolation"

@@ -145,10 +145,3 @@ def fixed_part(d: DivisorClass) -> ZariskiDecomposition:
         raise InvariantViolation(f"nef part {nef_part} plus the fixed lines is not {d}")
     return ZariskiDecomposition(nef_part=nef_part, fixed=fixed)
 
-
-def adjoint_fixed_part(d: DivisorClass, n: int) -> ZariskiDecomposition:
-    """Fixed part of D + nK: lines with D.l < n, at multiplicity n - D.l."""
-    target = d + n * K
-    if not is_effective(target):
-        raise NotEffective(f"adjoint class {target} (n={n}) is not effective")
-    return fixed_part(target)

@@ -10,9 +10,9 @@ n, which lives on the surface as h1(S, -(C + nK)).
 
 curve_facts computes, once per class, every number the obstruction,
 dimension and census code reads, as plain integers: h0, h1 and h2 of the
-three twists -(C + nK).  Those modules are readers of CurveFacts.  Only the
-27 line pairings of C + 3K, which the obstruction test alone reads, are
-computed when read.
+three twists -(C + nK).  Those modules are readers of CurveFacts.  The 27
+line pairings of L = C + 3K are not among them: the obstruction module's
+line scan, their one reader, computes them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .cohomology import _chi, cohomology, h0_ab
 from .errors import InvariantViolation, NonPositiveDegree, NotSmoothMember
-from .lattice import K, DivisorClass, degree, line_pairings, reduce_to_standard
+from .lattice import K, DivisorClass, degree, reduce_to_standard
 
 
 def _genus(a: int, b: tuple[int, ...], d: int) -> int:
@@ -77,7 +77,6 @@ class CurveFacts(NamedTuple):
     For n = 1, 2, 3, h0s[n-1] = h0(-(C + nK)), h2s[n-1] = h2(-(C + nK)) =
     h0(C + (n+1)K) and defects[n-1] = h1(-(C + nK)), the n-normality defect
     (defects[2] = h1(S, -L)); h2 = h2s[2] = h2(S, -L) = h0(S, C + 4K).
-    pairings is computed when read: pairings[i] = L.lines27()[i].
     """
 
     standard: DivisorClass
@@ -87,11 +86,6 @@ class CurveFacts(NamedTuple):
     h2s: tuple[int, int, int]
     defects: tuple[int, int, int]
     h2: int
-
-    @property
-    def pairings(self) -> tuple[int, ...]:
-        b1, b2, b3, b4, b5, b6 = self.standard.b
-        return line_pairings(self.standard.a - 9, (b1 - 3, b2 - 3, b3 - 3, b4 - 3, b5 - 3, b6 - 3))
 
 
 def curve_facts(c: DivisorClass) -> CurveFacts:

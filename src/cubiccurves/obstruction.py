@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .cohomology import h0_ab
 from .curve import CurveFacts, curve_facts
 from .errors import DegreeTooSmall, DprimeNotNef, InvalidK, InvariantViolation, NotALine
-from .lattice import K, DivisorClass, lines27
+from .lattice import K, DivisorClass, line_pairings, lines27
 
 
 def _restriction_onto(da: int, db: tuple[int, ...], ea: int, eb: tuple[int, ...], target: int) -> bool:
@@ -83,14 +83,14 @@ def verdict_of(facts: CurveFacts) -> ObstructionVerdict:
         return _UNOBSTRUCTED_H1_H2 if facts.h2 == 0 else _UNOBSTRUCTED_H1
     if facts.h2 == 0:
         return _UNOBSTRUCTED_H2
-    # With h1 and h2 both nonzero, L+K is effective (h0(L+K) = h2 > 0) and
-    # L is not nef: some line meets L negatively, in m = -L.E.
-    negative = [(e, -p) for e, p in zip(lines27(), facts.pairings) if p < 0]
-    if not negative:
-        raise InvariantViolation(f"L = C+3K is nef while h1(-L) and h2(-L) are nonzero for {facts.standard}")
     # (a; b) = L + K = C + 4K, and Delta = L + K - 2mE below.  As L.E = -m and K.E = E.E = -1,
     # Delta.E = (L + K).E - 2m E.E = -m - 1 + 2m = m - 1, so the restriction's target is m.
     a, b = facts.standard.a - 12, [x - 4 for x in facts.standard.b]
+    # With h1 and h2 both nonzero, L+K is effective (h0(L+K) = h2 > 0) and L = (a + 3; b + 1)
+    # is not nef: some line meets L negatively, in m = -L.E.
+    negative = [(e, -p) for e, p in zip(lines27(), line_pairings(a + 3, [x + 1 for x in b])) if p < 0]
+    if not negative:
+        raise InvariantViolation(f"L = C+3K is nef while h1(-L) and h2(-L) are nonzero for {facts.standard}")
     witnesses: list[tuple[DivisorClass, int, str]] = []
     for e, m in negative:
         if m > 3:

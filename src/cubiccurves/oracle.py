@@ -51,7 +51,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .errors import DegeneratePoints, OracleTooLarge
+from .errors import DegeneratePoints, OracleTooLarge, PreconditionError
 from .lattice import DivisorClass
 
 try:  # optional: speeds exact_rank, the exact reference the tests check the oracle with
@@ -191,9 +191,12 @@ def _general_position(pts) -> bool:
     return all(b) and b[0] * b[7] * b[14] * b[18] != b[1] * b[5] * b[12] * b[19]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def point_config(seed: int) -> PointConfig:
-    """Six exact points in general position, deterministic per seed."""
+    """Six exact points in general position, deterministic per seed >= 0
+    (random.Random seeds by |seed|, so a negative seed is refused)."""
+    if seed < 0:
+        raise PreconditionError(f"seed must be >= 0, got {seed}")
     rng = random.Random(seed)
     for _ in range(10):
         pts = tuple((rng.randint(1, COORD_MAX), rng.randint(1, COORD_MAX)) for _ in range(6))
@@ -226,7 +229,7 @@ def _rows(x: int, y: int, m: int, a: int, nbytes: int, cuts) -> list[int]:
 
 
 def _frame(a: int, mults):
-    """condition_rank's seed-independent part: (heavy, light, cuts, nbytes, pivots, rank).
+    """condition_rank's seed-independent part: (a, mults, heavy, light, cuts, nbytes, pivots, rank).
 
     light holds the other points with mults > 0, p3 first; pivots holds p3's
     pivot row per column (or None) from its rows at (1, 1), and rank the
@@ -251,11 +254,12 @@ def _frame(a: int, mults):
     rank = (a + 1) * (a + 2) // 2 - cols
     if light and cols:
         rank += _eliminate(_rows(1, 1, mults[light[0]], a, nbytes, cuts), cols, nbytes, pivots)
-    return heavy, light, cuts, nbytes, pivots, rank
+    return a, mults, heavy, light, cuts, nbytes, pivots, rank
 
 
-def condition_rank(a: int, mults, cfg: PointConfig, frame=None) -> int:
-    """Rank mod P of the conditions "multiplicity >= mults[i] at point i" on degree a.
+def condition_rank(frame, cfg: PointConfig) -> int:
+    """Rank mod P of the conditions "multiplicity >= mults[i] at point i" on degree a,
+    for the frame _frame(a, mults) and the points of cfg.
 
     The three heaviest points p0, p1, p2 (ties by index) go to [0:0:1],
     [0:1:0] and [1:0:0] by adj(M), M = [p2 | p1 | p0].  There the
@@ -269,12 +273,12 @@ def condition_rank(a: int, mults, cfg: PointConfig, frame=None) -> int:
     u!/(u-j)! v!/(v-k)!, are the same at every seed and come first, so
     _eliminate pivots on them wherever one leads, and a later row pivots
     only where all of them are 0, leaving them unchanged: p3's pivot rows
-    depend on a and mults alone.  frame (_frame, once per h0_interpolation
-    call) holds them, and only the other lighter points' rows are
-    eliminated here.  DegeneratePoints if det M, the last coordinate of a
+    depend on a and mults alone.  The frame (built once per h0_interpolation
+    call) holds them with its class, and only the other lighter points' rows
+    are eliminated here.  DegeneratePoints if det M, the last coordinate of a
     mapped point or a chart coordinate of p3 is 0 mod P.
     """
-    heavy, light, cuts, nbytes, pivots, rank = frame or _frame(a, mults)
+    a, mults, heavy, light, cuts, nbytes, pivots, rank = frame
     (x0, y0), (x1, y1), (x2, y2) = (cfg.points[i] for i in heavy)
     # rows of adj(M): p1 x p0, p0 x p2 and p2 x p1, whose dot with p is det[p2 | p1 | p]
     adj = (
@@ -307,12 +311,12 @@ def condition_rank(a: int, mults, cfg: PointConfig, frame=None) -> int:
 def _h0_at(d: DivisorClass, seed: int) -> int:
     """h0 of a class whose bi are clamped to >= 0, minimized over seeds seed..seed + 2, which share one _frame."""
     frame = _frame(d.a, d.b)
-    ranks = [condition_rank(d.a, d.b, point_config(s), frame) for s in (seed, seed + 1, seed + 2)]
+    ranks = [condition_rank(frame, point_config(s)) for s in (seed, seed + 1, seed + 2)]
     return (d.a + 1) * (d.a + 2) // 2 - max(ranks)
 
 
 def h0_interpolation(d: DivisorClass, seed: int = 0) -> int:
-    """h0 of the class by interpolation mod P, minimized over three seeds.
+    """h0 of the class by interpolation mod P, minimized over seeds seed, seed + 1, seed + 2.
 
     OracleTooLarge when the clamped class has a > A_MAX.  No other bound is
     needed: over every class with a <= A_MAX the work is largest at

@@ -16,7 +16,6 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .cohomology import (
-    adjoint_fixed_part,
     cohomology,
     euler_char,
     fixed_part,
@@ -117,7 +116,7 @@ def _five_lines() -> tuple:
 
 
 def _adjoint_abn5() -> tuple:
-    z = adjoint_fixed_part(ABN5, 3)
+    z = fixed_part(ABN5 + 3 * K)
     l12 = lines27()[6]
     return (*_fixed_lines(z), any(l == l12 for l, _ in z.fixed), abnormality(ABN5, 3))
 

@@ -3,6 +3,8 @@
 Beside criterion 07 (oracle == engine on small classes) one unprinted test
 runs the oracle on the largest classes the d 10..20 census visits, and one
 more, marked slow (run it with ``pytest -m slow``), on all of its classes.
+Two more rebuild the census records, d 10..26 and (slow) d 10..30, with
+every h0 they read taken from the oracle.
 
 All comparisons are exact integer equality; there are no tolerances to
 tune.  Verdict lines are written with capture disabled so they reach
@@ -14,14 +16,15 @@ import sys
 
 import pytest
 
+from cubiccurves import curve, obstruction
 from cubiccurves.census import census_csv, census_range, enumerate_families
 from cubiccurves.cli import run
 from cubiccurves.cohomology import (
-    adjoint_fixed_part,
     cohomology,
     euler_char,
     fixed_part,
     h0,
+    h0_ab,
     is_effective,
     is_nef,
 )
@@ -43,6 +46,7 @@ from cubiccurves.obstruction import (
     hilbert_dim,
     kleppe_verdict,
     restriction_surjective,
+    verdict_of,
 )
 from cubiccurves.oracle import h0_interpolation
 from cubiccurves.verify import run_checks
@@ -138,7 +142,7 @@ def test_criterion_04_adjoint_fixed_part_example(capfd):
     bad = []
     if invariants(ABN5) != (18, 31):
         bad.append(f"invariants {invariants(ABN5)}")
-    z = adjoint_fixed_part(ABN5, 3)
+    z = fixed_part(ABN5 + 3 * K)
     mults = [m for _, m in z.fixed]
     if len(z.fixed) != 5 or mults != [1] * 5:
         bad.append(f"fixed {[(str(l), m) for l, m in z.fixed]}")
@@ -232,21 +236,34 @@ def _twists(records) -> list[DivisorClass]:
 
 
 def _restriction_classes(records) -> list[DivisorClass]:
-    """Delta = C+4K-2mE and Delta-E for each line E that verdict_of tests by restriction.
-
-    Those are the lines with m = -(C+3K).E in {2, 3} on the records whose
-    h1(I_C(3)) and h0(C+4K) are both nonzero.
-    """
+    """Delta = C+4K-2mE and Delta-E for each line E that verdict_of tests by
+    restriction on the records, as obstruction.h0_ab reads them."""
     out = []
-    for r in records:
-        facts = curve_facts(r.cls)
-        if facts.defects[2] == 0 or facts.h2 == 0:
-            continue
-        for e, pairing in zip(lines27(), facts.pairings):
-            if -pairing in (2, 3):
-                delta = facts.standard + 4 * K + 2 * pairing * e
-                out += [delta, delta - e]
+
+    def recorded(a, b):
+        out.append(DivisorClass(a, b))
+        return h0_ab(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(obstruction, "h0_ab", recorded)
+        for r in records:
+            verdict_of(curve_facts(r.cls))
     return out
+
+
+def _census_from_oracle(d_max: int):
+    """census_range(10, d_max) with every h0 its records read taken from
+    h0_interpolation instead of the engine, and the count of those reads."""
+    reads = []
+
+    def oracle_h0(a, b):
+        reads.append((a, b))
+        return h0_interpolation(DivisorClass(a, b))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curve, "h0_ab", oracle_h0)
+        mp.setattr(obstruction, "h0_ab", oracle_h0)
+        return census_range(10, d_max, 0, hodge_genus_bound(d_max)), len(reads)
 
 
 def _distinct_clamped(classes) -> set[DivisorClass]:
@@ -286,6 +303,22 @@ def test_oracle_on_restriction_classes(census):
     classes = _restriction_classes(records)
     assert len(classes) == 132 and len(_distinct_clamped(classes)) == 30
     assert not (bad := _oracle_mismatches(classes)), bad
+
+
+def test_census_records_rebuilt_from_oracle_h0():
+    # every twist, h2 and restriction h0 of census d 10..26 read from the
+    # oracle gives the same records and summary: verdicts, dimensions and
+    # Kleppe verdicts, not only the numbers; no class is past A_MAX
+    (records, summary), reads = _census_from_oracle(26)
+    assert (records, summary) == census_range(10, 26, 0, hodge_genus_bound(26))
+    assert len(records) == 3242 and reads == 12018
+
+
+@pytest.mark.slow
+def test_census_records_rebuilt_from_oracle_h0_d10_30(census_30):
+    (records, summary), reads = _census_from_oracle(30)
+    assert (records, summary) == census_range(10, 30, 0, hodge_genus_bound(30))
+    assert records == census_30 and reads == 27064
 
 
 @pytest.mark.slow

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from cubiccurves.cohomology import (
-    adjoint_fixed_part,
     cohomology,
     euler_char,
     fixed_part,
@@ -154,11 +153,12 @@ def test_fixed_part_reconstructs():
 
 
 def test_adjoint_fixed_part():
-    z = adjoint_fixed_part(D16G29, 3)
+    # the fixed part of an adjoint class C + nK is fixed_part(C + n*K)
+    z = fixed_part(D16G29 + 3 * K)
     assert z.fixed == (
         (D(0, 0, 0, 0, 0, -1, 0), 1),
         (D(0, 0, 0, 0, 0, 0, -1), 1),
     )
-    assert adjoint_fixed_part(-K, 1).fixed == ()
+    assert fixed_part(-K + K).fixed == ()
     with pytest.raises(NotEffective):
-        adjoint_fixed_part(-K, 2)
+        fixed_part(-K + 2 * K)

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from cubiccurves import curve, obstruction
+from cubiccurves import obstruction
 from cubiccurves.census import _record_of, census_range
 from cubiccurves.cli import run
 from cubiccurves.cohomology import CohomologyTriple, _chi, cohomology, h0
@@ -71,11 +71,23 @@ def test_record_fields_equal_public_functions():
         assert r.dim_w == r.d + r.g + 18
 
 
-def test_facts_pairings_are_those_of_the_adjoint_class():
+def test_facts_pairings_are_those_of_the_adjoint_class(monkeypatch):
+    # verdict_of's line scan, the one reader of the 27 pairings, takes them
+    # of L = C + 3K, once per class that reaches it
+    seen, kernel = [], obstruction.line_pairings
+
+    def recorded(a, b):
+        seen.append((a, tuple(b)))
+        return kernel(a, b)
+
+    monkeypatch.setattr(obstruction, "line_pairings", recorded)
     for c in _classes():
         f = curve_facts(c)
         L = f.standard + 3 * K
-        assert f.pairings == tuple(L.dot(e) for e in lines27())
+        seen.clear()
+        obstruction.verdict_of(f)
+        assert seen == ([(L.a, L.b)] if f.defects[2] and f.h2 else [])
+        assert kernel(L.a, L.b) == tuple(L.dot(e) for e in lines27())
         assert f.defects == tuple(abnormality(c, n) for n in (1, 2, 3))
 
 
@@ -84,7 +96,7 @@ def test_census_records_build_no_triples_and_pairings_only_for_the_line_scan(mon
     # C+3K are computed only by verdict_of's line scan, which runs when
     # h1(-L) and h2(-L) are both nonzero
     triples, pairings = [], []
-    new, kernel = CohomologyTriple.__new__, curve.line_pairings
+    new, kernel = CohomologyTriple.__new__, obstruction.line_pairings
 
     # a NamedTuple is built in __new__, so that is where a build is counted
     def counted_new(cls, *args, **kwargs):
@@ -96,16 +108,16 @@ def test_census_records_build_no_triples_and_pairings_only_for_the_line_scan(mon
         return kernel(a, b)
 
     monkeypatch.setattr(CohomologyTriple, "__new__", counted_new)
-    monkeypatch.setattr(curve, "line_pairings", counted_pairings)
+    monkeypatch.setattr(obstruction, "line_pairings", counted_pairings)
     records, _ = census_range(10, 16, 0, hodge_genus_bound(16))
     assert len(records) == 342
     assert triples == []
     scanned = [(r.cls.a, r.cls.b) for r in records if r.h1_ic3 != 0 and r.h2 != 0]
     assert pairings == scanned and len(scanned) == 8
-    # the counters see what a cohomology call and reading pairings build
+    # the counters see what a cohomology call and a line scan build
     facts = curve_facts(records[0].cls)
     assert _hs(cohomology(-(facts.standard + K))) == _twist(facts, 1)
-    assert len(facts.pairings) == 27
+    assert classify(DivisorClass(*scanned[0])).kind == "Obstructed"
     assert len(triples) == 1 and len(pairings) == 9
 
 

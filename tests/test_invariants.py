@@ -43,7 +43,7 @@ CASES = {
     ),
     # every line meeting L = C + 3K at -4 breaks m <= 3 for a smooth member
     "multiplicity-above-3": (
-        "importlib.import_module('cubiccurves.curve').line_pairings = lambda a, b: (-4,) * 27",
+        "importlib.import_module('cubiccurves.obstruction').line_pairings = lambda a, b: (-4,) * 27",
         ["classify", "12;4,4,4,4,2,2"],
         "fixed multiplicity 4 > 3",
     ),
@@ -126,7 +126,7 @@ CASES = {
     # every line meeting L = C + 3K in 0 makes L nef although h1(-L) and
     # h2(-L) are nonzero
     "adjoint-nef-with-h1-h2": (
-        "importlib.import_module('cubiccurves.curve').line_pairings = lambda a, b: (0,) * 27",
+        "importlib.import_module('cubiccurves.obstruction').line_pairings = lambda a, b: (0,) * 27",
         ["classify", "12;4,4,4,4,2,2"],
         "is nef while h1(-L) and h2(-L) are nonzero",
     ),

@@ -21,6 +21,7 @@ from cubiccurves.oracle import (
     COORD_MAX,
     P,
     PointConfig,
+    _frame,
     _general_position,
     condition_rank,
     exact_rank,
@@ -232,7 +233,8 @@ def test_condition_rank_matches_exact_reference():
         a = rng.randint(0, 9)
         mults = [max(rng.randint(-2, a + 3), 0) for _ in range(6)]
         cfg = point_config(rng.randrange(1 << 20))
-        assert condition_rank(a, mults, cfg) == exact_rank(ref_condition_rows(a, mults, cfg)), (a, mults, cfg.seed)
+        want = exact_rank(ref_condition_rows(a, mults, cfg))
+        assert condition_rank(_frame(a, mults), cfg) == want, (a, mults, cfg.seed)
     # six points on a conic, where these ranks fall below the general ones
     # (6, 24, 40, 15): the frame must move every point, p3 included, by the
     # same change of coordinates, not just to some general position
@@ -242,7 +244,8 @@ def test_condition_rank_matches_exact_reference():
     for pts in (parabola, circle):
         for a, mults, rank in special:
             cfg = PointConfig(0, pts)
-            assert condition_rank(a, mults, cfg) == exact_rank(ref_condition_rows(a, mults, cfg)) == rank, (pts, a)
+            want = exact_rank(ref_condition_rows(a, mults, cfg))
+            assert condition_rank(_frame(a, mults), cfg) == want == rank, (pts, a)
 
 
 def test_condition_rank_matches_full_modular_rank():
@@ -257,7 +260,7 @@ def test_condition_rank_matches_full_modular_rank():
                 if lo <= sum(m * (m + 1) // 2 for m in mults) <= hi:
                     break
             cfg = point_config(rng.randrange(1 << 20))
-            assert condition_rank(a, mults, cfg) == modular_rank(ref_condition_rows(a, mults, cfg)), (a, mults)
+            assert condition_rank(_frame(a, mults), cfg) == modular_rank(ref_condition_rows(a, mults, cfg)), (a, mults)
     # one lighter point, so only p3's shared block is eliminated; and p3's
     # block of rank below its row count and its monomials left: 10 rows on
     # 12 monomials of rank 9, 15 rows on 18 of rank 14
@@ -270,7 +273,7 @@ def test_condition_rank_matches_full_modular_rank():
     ):
         for seed in (0, 1, 2):
             cfg = point_config(seed)
-            assert condition_rank(a, mults, cfg) == modular_rank(ref_condition_rows(a, mults, cfg)), (a, mults)
+            assert condition_rank(_frame(a, mults), cfg) == modular_rank(ref_condition_rows(a, mults, cfg)), (a, mults)
 
 
 def test_condition_rank_with_fewer_than_three_points():
@@ -283,7 +286,7 @@ def test_condition_rank_with_fewer_than_three_points():
         (6, (7, 0, 7, 0, 0, 0)),
         (9, (0, 0, 0, 0, 10, 10)),
     ]:
-        assert condition_rank(a, mults, cfg) == exact_rank(ref_condition_rows(a, mults, cfg)), (a, mults)
+        assert condition_rank(_frame(a, mults), cfg) == exact_rank(ref_condition_rows(a, mults, cfg)), (a, mults)
 
 
 # (points, multiplicities, the DegeneratePoints message): the three heaviest
@@ -304,15 +307,15 @@ def test_condition_rank_collinear_points_raise_under_O():
     want = "".join(f"{who} of seed 0 are collinear mod P\n" for _, _, who in COLLINEAR)
     for pts, mults, who in COLLINEAR:
         with pytest.raises(DegeneratePoints, match=rf"^{re.escape(who)} of seed 0 are collinear mod P$"):
-            condition_rank(8, mults, PointConfig(0, pts))
+            condition_rank(_frame(8, mults), PointConfig(0, pts))
     src = str(Path(oracle.__file__).resolve().parent.parent)
     code = (
         "import sys; sys.path.insert(0, sys.argv[1])\n"
         "from cubiccurves.errors import DegeneratePoints\n"
-        "from cubiccurves.oracle import PointConfig, condition_rank\n"
+        "from cubiccurves.oracle import PointConfig, _frame, condition_rank\n"
         f"for pts, mults, _ in {COLLINEAR!r}:\n"
         "    try:\n"
-        "        condition_rank(8, mults, PointConfig(0, pts))\n"
+        "        condition_rank(_frame(8, mults), PointConfig(0, pts))\n"
         "    except DegeneratePoints as e:\n"
         "        print(e)\n"
     )
@@ -331,6 +334,24 @@ def test_point_config_deterministic():
     assert point_config(0).points != point_config(1).points
     for x, y in point_config(0).points:
         assert 1 <= x <= COORD_MAX and 1 <= y <= COORD_MAX
+
+
+def test_point_config_refuses_a_negative_seed():
+    # random.Random seeds by |seed|: seed -1 would give the points of seed 1,
+    # and h0_interpolation(c, seed=-1) two point sets instead of three
+    assert random.Random(-1).random() == random.Random(1).random()
+    for seed in (-1, -7):
+        with pytest.raises(PreconditionError, match=rf"^seed must be >= 0, got {seed}$"):
+            point_config(seed)
+    with pytest.raises(PreconditionError, match=r"^seed must be >= 0, got -1$"):
+        h0_interpolation(D(12, 4, 4, 4, 4, 2, 2), seed=-1)
+
+
+def test_point_config_cache_is_bounded():
+    # a caller sweeping seeds cannot grow the cache without end; the bench
+    # still empties it between operations
+    maxsize = point_config.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 4096
 
 
 def test_general_position_rejects_collinear():

@@ -2,11 +2,11 @@
 
 Every record type is a NamedTuple: a field cannot be assigned, the field
 order is pinned (the CLI's JSON follows it through _asdict), two census runs
-give equal records with equal hashes, every record but CurveReport (whose
-abnormality is a dict) hashes by value, and CurveFacts.pairings is the line
-pairing of L = C + 3K.  DivisorClass is a hand-written immutable class with
-the contract a frozen dataclass gave it: its repr, hash((a, b)), equality
-with classes only, no order, and pickle and copy round-trips.  Perm and
+give equal records with equal hashes, and every record but CurveReport
+(whose abnormality is a dict) hashes by value.  DivisorClass is a
+hand-written immutable class with the contract a frozen dataclass gave it:
+its repr, hash((a, b)), equality with classes only, no order, and pickle
+and copy round-trips.  Perm and
 Cremona check their fields however they are built, _make and _replace too.
 """
 
@@ -19,7 +19,7 @@ from cubiccurves import census
 from cubiccurves.census import CensusRecord, census_range
 from cubiccurves.cohomology import CohomologyTriple, ZariskiDecomposition, cohomology, fixed_part
 from cubiccurves.curve import CurveFacts, CurveReport, curve_facts, normality_profile
-from cubiccurves.lattice import K, Cremona, DivisorClass, Perm, StandardReduction, line_pairings, reduce_to_standard
+from cubiccurves.lattice import Cremona, DivisorClass, Perm, StandardReduction, reduce_to_standard
 from cubiccurves.obstruction import HilbertDimResult, KleppeVerdict, ObstructionVerdict
 from cubiccurves.oracle import PointConfig, point_config
 from cubiccurves.verify import CheckResult
@@ -92,13 +92,6 @@ def test_two_census_runs_give_equal_records_and_hashes():
     assert first == second
     assert [hash(r) for r in first] == [hash(r) for r in second]
     assert len({*first, *second}) == len(first)
-
-
-def test_pairings_are_the_line_pairings_of_c_plus_3k():
-    for r in _fresh_census(16):
-        facts = curve_facts(r.cls)
-        adjoint = facts.standard + 3 * K
-        assert facts.pairings == line_pairings(adjoint.a, adjoint.b)
 
 
 C = DivisorClass(12, (4, 4, 4, 4, 2, 2))
