@@ -20,8 +20,7 @@ _EXPORTS = {
     for module, names in {
         "census": "CensusRecord census_csv census_range enumerate_families",
         "cohomology": "CohomologyTriple ZariskiDecomposition cohomology euler_char fixed_part h0 is_effective is_nef",
-        "curve": "CurveReport abnormality has_smooth_member hodge_genus_bound invariants normality_profile"
-        " require_smooth_member",
+        "curve": "abnormality has_smooth_member hodge_genus_bound invariants require_smooth_member",
         "errors": "DegeneratePoints DegreeTooSmall DprimeNotNef GenusOutOfHodgeRange InvalidK InvariantViolation"
         " NonPositiveDegree NotALine NotEffective NotSmoothMember OracleTooLarge PreconditionError",
         "lattice": "Cremona DivisorClass K Perm StandardReduction apply_generator apply_word conics27"

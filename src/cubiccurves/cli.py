@@ -126,16 +126,16 @@ def _cmd_cohomology(cls: DivisorClass) -> dict:
 
 
 def _cmd_normality(cls: DivisorClass) -> dict:
-    from .curve import normality_profile
-    rep = normality_profile(cls)
+    from .curve import curve_facts
+    facts = curve_facts(cls)
     return {
         "class": str(cls),
-        "standard": str(rep.cls),
-        "d": rep.degree,
-        "g": rep.genus,
-        "abnormality": {str(n): rep.abnormality[n] for n in (1, 2, 3)},
-        "s_invariant": rep.s_invariant,
-        "s_note": "curve lies on the cubic" if rep.s_invariant == 3 else "",
+        "standard": str(facts.standard),
+        "d": facts.d,
+        "g": facts.g,
+        "abnormality": {str(n): facts.defects[n - 1] for n in (1, 2, 3)},
+        "s_invariant": facts.s_invariant,
+        "s_note": "curve lies on the cubic" if facts.s_invariant == 3 else "",
     }
 
 

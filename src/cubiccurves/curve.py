@@ -9,10 +9,10 @@ The n-normality defect of such a curve is h1 of the ideal sheaf twisted by
 n, which lives on the surface as h1(S, -(C + nK)).
 
 curve_facts computes, once per class, every number the obstruction,
-dimension and census code reads, as plain integers: h0, h1 and h2 of the
-three twists -(C + nK).  Those modules are readers of CurveFacts.  The 27
-line pairings of L = C + 3K are not among them: the obstruction module's
-line scan, their one reader, computes them.
+dimension, normality and census code reads, as plain integers: h0, h1 and
+h2 of the three twists -(C + nK); the normality profile is its defects and
+s_invariant.  The 27 line pairings of L = C + 3K are not among them: the
+obstruction module's line scan, their one reader, computes them.
 """
 
 from __future__ import annotations
@@ -87,12 +87,28 @@ class CurveFacts(NamedTuple):
     defects: tuple[int, int, int]
     h2: int
 
+    @property
+    def s_invariant(self) -> int:
+        """The least n with h0(I_C(n)) = h0s[n-1] > 0, at most 3: the cubic contains the curve."""
+        return 1 if self.h0s[0] else 2 if self.h0s[1] else 3
+
 
 def curve_facts(c: DivisorClass) -> CurveFacts:
-    """The CurveFacts of c, computed in one pass on its standard form (or NotSmoothMember)."""
+    """The CurveFacts of c, computed in one pass on its standard form (or NotSmoothMember);
+    InvariantViolation for a genus outside [0, hodge_genus_bound(d)] or non-monotone defects."""
     std = require_smooth_member(c)
     d, g = invariants(std)
-    return _standard_facts(std, d, g)
+    facts = _standard_facts(std, d, g)
+    if not 0 <= g <= hodge_genus_bound(d):
+        raise InvariantViolation(f"genus {g} outside [0, {hodge_genus_bound(d)}] for {std}")
+    # Monotone once C+nK is effective with positive square: n-normal implies
+    # m-normal for m < n.  h0(C + nK) is the h2 of the (n-1)-th twist.  With
+    # C.C = 2g - 2 + d, K.C = -d and K.K = 3, (C + nK)^2 = 2g - 2 + d - 2nd + 3n^2.
+    for n in (2, 3):
+        square = 2 * g - 2 + d - 2 * n * d + 3 * n * n
+        if facts.defects[n - 1] == 0 and any(facts.defects[: n - 1]) and square > 0 and facts.h2s[n - 2] > 0:
+            raise InvariantViolation(f"{std} is {n}-normal but not m-normal for some m < {n}")
+    return facts
 
 
 def _standard_facts(std: DivisorClass, d: int, g: int) -> CurveFacts:
@@ -120,37 +136,3 @@ def _standard_facts(std: DivisorClass, d: int, g: int) -> CurveFacts:
         h1s.append(h1)
         h2s.append(h2)
     return CurveFacts(std, d, g, tuple(h0s), tuple(h2s), tuple(h1s), h2)
-
-
-class CurveReport(NamedTuple):
-    cls: DivisorClass
-    degree: int
-    genus: int
-    abnormality: dict[int, int]
-    s_invariant: int
-
-
-def normality_profile(c: DivisorClass) -> CurveReport:
-    """Degree, genus and the n-normality defects for n = 1, 2, 3.
-
-    s_invariant is the least n with h0(twisted ideal sheaf) > 0; it is at
-    most 3 because the cubic itself always contains the curve.
-    """
-    facts = curve_facts(c)
-    std, d, g = facts.standard, facts.d, facts.g
-    if not 0 <= g <= hodge_genus_bound(d):
-        raise InvariantViolation(f"genus {g} outside [0, {hodge_genus_bound(d)}] for {std}")
-    defects = dict(zip((1, 2, 3), facts.defects))
-    # Monotone once C+nK is effective with positive square: n-normal implies
-    # m-normal for m < n.  h0(C + nK) is the h2 of the (n-1)-th twist.  With
-    # C.C = 2g - 2 + d, K.C = -d and K.K = 3, (C + nK)^2 = 2g - 2 + d - 2nd + 3n^2.
-    for n in (2, 3):
-        square = 2 * g - 2 + d - 2 * n * d + 3 * n * n
-        if defects[n] == 0 and square > 0 and facts.h2s[n - 2] > 0 and any(defects[m] for m in range(1, n)):
-            raise InvariantViolation(f"{std} is {n}-normal but not m-normal for some m < {n}")
-    s = 3
-    for n in (1, 2):
-        if facts.h0s[n - 1] > 0:
-            s = n
-            break
-    return CurveReport(cls=std, degree=d, genus=g, abnormality=defects, s_invariant=s)

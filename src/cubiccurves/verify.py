@@ -23,7 +23,7 @@ from .cohomology import (
     is_effective,
     is_nef,
 )
-from .curve import abnormality, curve_facts, has_smooth_member, invariants, normality_profile
+from .curve import abnormality, curve_facts, has_smooth_member, invariants
 from .census import enumerate_families
 from .lattice import K, DivisorClass, conics27, is_standard, lines27
 from .obstruction import (
@@ -161,7 +161,7 @@ CHECKS = (
     ("normal-bundle-h1-deg-3lam30",
      lambda: [lam for lam in range(9) if curve_facts(_ex_triple_deg3(lam)).h2 != (lam + 4) * (lam + 3) // 2], []),
     ("normality-16-29",
-     lambda: attrgetter("degree", "genus", "abnormality", "s_invariant")(normality_profile(D16G29)),
+     lambda: ((f := curve_facts(D16G29)).d, f.g, dict(zip((1, 2, 3), f.defects)), f.s_invariant),
      (16, 29, {1: 0, 2: 0, 3: 2}, 3)),
     ("classify-16-29", lambda: attrgetter("kind", "witness_line", "m", "rule")(classify(D16G29)),
      ("Obstructed", lines27()[4], 1, "m=1")),

@@ -162,3 +162,18 @@ def test_adjoint_fixed_part():
     assert fixed_part(-K + K).fixed == ()
     with pytest.raises(NotEffective):
         fixed_part(-K + 2 * K)
+
+
+@pytest.mark.parametrize("lam", range(9))
+def test_obstruction_space_of_the_even_family_is_2lam_plus_6(lam):
+    # the certificate behind verify-paper's FLAGGED row: for C = (17+lam;
+    # 8+lam, 7, 2^4), C + 4K = (5+lam; 4+lam, 3, -2^4) fixes e3..e6 and
+    # l-e1-e2, each twice; its nef part R = (lam+3; lam+2, 1, 0^4) has
+    # chi(R) = 2*lam+6 and h1(R) = h2(R) = 0, so h0(C + 4K) = 2*lam+6
+    c = D(17 + lam, 8 + lam, 7, 2, 2, 2, 2)
+    z = fixed_part(c + 4 * K)
+    e3, e4, e5, e6 = (D(0, *(-1 if j == i else 0 for j in range(6))) for i in range(2, 6))
+    assert dict(z.fixed) == {e3: 2, e4: 2, e5: 2, e6: 2, D(1, 1, 1, 0, 0, 0, 0): 2}
+    assert z.nef_part == D(lam + 3, lam + 2, 1, 0, 0, 0, 0) and is_nef(z.nef_part)
+    assert cohomology(z.nef_part) == (2 * lam + 6, 0, 0, 2 * lam + 6)
+    assert euler_char(z.nef_part) == h0(c + 4 * K) == 2 * lam + 6

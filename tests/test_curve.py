@@ -1,17 +1,21 @@
-"""Degree/genus invariants, smooth members, normality profiles."""
+"""Degree/genus invariants, smooth members, normality profiles (curve_facts)."""
+
+import itertools
 
 import pytest
 
+from cubiccurves.cohomology import h0
 from cubiccurves.curve import (
     abnormality,
+    curve_facts,
     has_smooth_member,
     hodge_genus_bound,
     invariants,
-    normality_profile,
     require_smooth_member,
 )
 from cubiccurves.errors import NonPositiveDegree, NotSmoothMember
-from cubiccurves.lattice import DivisorClass, K, conics27, lines27
+from cubiccurves.lattice import DivisorClass, K, conics27, is_standard, lines27
+from cubiccurves.obstruction import classify, kleppe_verdict
 
 D = DivisorClass.of
 
@@ -60,8 +64,8 @@ def test_lines_and_conics_have_a_smooth_member():
     ]:
         assert has_smooth_member(c)
         assert require_smooth_member(c) == std
-        report = normality_profile(c)
-        assert (report.degree, report.genus, report.abnormality, report.s_invariant) == (d, 0, {1: 0, 2: 0, 3: 0}, 1)
+        facts = curve_facts(c)
+        assert (facts.d, facts.g, facts.defects, facts.s_invariant) == (d, 0, (0, 0, 0), 1)
 
 
 def test_require_smooth_member_returns_standard():
@@ -76,22 +80,44 @@ def test_abnormality_kleppe():
 
 
 def test_normality_profile_kleppe():
-    rep = normality_profile(D16G29)
-    assert (rep.degree, rep.genus) == (16, 29)
-    assert rep.abnormality == {1: 0, 2: 0, 3: 2}
-    assert rep.s_invariant == 3
+    facts = curve_facts(D16G29)
+    assert (facts.d, facts.g) == (16, 29)
+    assert facts.defects == (0, 0, 2)
+    assert facts.s_invariant == 3
 
 
 def test_s_invariant_small_curves():
     # -K is cut by planes, -2K by quadrics; neither lies on the cubic
-    assert normality_profile(-K).s_invariant == 1
-    assert normality_profile(-2 * K).s_invariant == 2
-    assert normality_profile(MUMFORD).s_invariant == 3
+    assert curve_facts(-K).s_invariant == 1
+    assert curve_facts(-2 * K).s_invariant == 2
+    assert curve_facts(MUMFORD).s_invariant == 3
+
+
+def test_every_small_standard_smooth_class_passes_the_curve_facts_checks():
+    # the line, the conic class and every standard (a; b) with a > b1 and
+    # b6 >= 0, a <= 12: curve_facts' genus-range and monotonicity checks
+    # hold on each, through classify and kleppe_verdict too, and s is the
+    # least n <= 2 with h0(I_C(n)) = h0(-(C + nK)) > 0, else 3
+    classes = [D(0, 0, 0, 0, 0, 0, -1), D(1, 1, 0, 0, 0, 0, 0)] + [
+        c
+        for a in range(1, 13)
+        for b in itertools.combinations_with_replacement(range(a - 1, -1, -1), 6)
+        if is_standard(c := D(a, *b))
+    ]
+    tally = {1: 0, 2: 0, 3: 0}
+    for c in classes:
+        facts = curve_facts(c)
+        classify(c)
+        kleppe_verdict(c)
+        s = next((n for n in (1, 2) if h0(-(c + n * K)) > 0), 3)
+        assert facts.s_invariant == s, str(c)
+        tally[s] += 1
+    assert len(classes) == 1536 and tally == {1: 3, 2: 5, 3: 1528}
 
 
 def test_genus_and_twist_squares_follow_from_d_and_g():
     # the genus is chi(C) - d; check it against adjunction by the pairing, and
-    # the (d, g) formula normality_profile uses for (C + nK)^2
+    # the (d, g) formula curve_facts uses for (C + nK)^2
     import random
 
     rng = random.Random(17)

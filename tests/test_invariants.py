@@ -118,9 +118,17 @@ CASES = {
     # defects read as (1, 0, 0): 2-normal but not 1-normal, while C + 2K
     # has positive square and a section
     "normality-monotone": (
-        "cu = importlib.import_module('cubiccurves.curve'); facts = cu.curve_facts;"
-        " cu.curve_facts = lambda c: facts(c)._replace(defects=(1, 0, 0))",
+        "cu = importlib.import_module('cubiccurves.curve'); facts = cu._standard_facts;"
+        " cu._standard_facts = lambda *a: facts(*a)._replace(defects=(1, 0, 0))",
         ["normality", "12;4,4,4,4,2,2"],
+        "is 2-normal but not m-normal",
+    ),
+    # the same check on the obstruction path: curve_facts checks every
+    # class it builds, so classify reaches it too
+    "classify-normality-monotone": (
+        "cu = importlib.import_module('cubiccurves.curve'); facts = cu._standard_facts;"
+        " cu._standard_facts = lambda *a: facts(*a)._replace(defects=(1, 0, 0))",
+        ["classify", "12;4,4,4,4,2,2"],
         "is 2-normal but not m-normal",
     ),
     # every line meeting L = C + 3K in 0 makes L nef although h1(-L) and

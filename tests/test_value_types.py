@@ -2,12 +2,11 @@
 
 Every record type is a NamedTuple: a field cannot be assigned, the field
 order is pinned (the CLI's JSON follows it through _asdict), two census runs
-give equal records with equal hashes, and every record but CurveReport
-(whose abnormality is a dict) hashes by value.  DivisorClass is a
-hand-written immutable class with the contract a frozen dataclass gave it:
-its repr, hash((a, b)), equality with classes only, no order, and pickle
-and copy round-trips.  Perm and
-Cremona check their fields however they are built, _make and _replace too.
+give equal records with equal hashes, and every record hashes by value.
+DivisorClass is a hand-written immutable class with the contract a frozen
+dataclass gave it: its repr, hash((a, b)), equality with classes only, no
+order, and pickle and copy round-trips.  Perm and Cremona check their
+fields however they are built, _make and _replace too.
 """
 
 import copy
@@ -18,7 +17,7 @@ import pytest
 from cubiccurves import census
 from cubiccurves.census import CensusRecord, census_range
 from cubiccurves.cohomology import CohomologyTriple, ZariskiDecomposition, cohomology, fixed_part
-from cubiccurves.curve import CurveFacts, CurveReport, curve_facts, normality_profile
+from cubiccurves.curve import CurveFacts, curve_facts
 from cubiccurves.lattice import Cremona, DivisorClass, Perm, StandardReduction, reduce_to_standard
 from cubiccurves.obstruction import HilbertDimResult, KleppeVerdict, ObstructionVerdict
 from cubiccurves.oracle import PointConfig, point_config
@@ -33,7 +32,6 @@ FIELDS = {
     CohomologyTriple: ("h0", "h1", "h2", "chi"),
     ZariskiDecomposition: ("nef_part", "fixed"),
     StandardReduction: ("input", "standard", "word"),
-    CurveReport: ("cls", "degree", "genus", "abnormality", "s_invariant"),
     PointConfig: ("seed", "points"),
     Perm: ("sigma",),
     Cremona: ("i", "j", "k"),
@@ -50,7 +48,7 @@ def _values(r: CensusRecord):
     return {CensusRecord: r, ObstructionVerdict: r.verdict, HilbertDimResult: r.dim,
             KleppeVerdict: r.kleppe, CurveFacts: curve_facts(r.cls), CohomologyTriple: cohomology(r.cls),
             ZariskiDecomposition: fixed_part(r.cls), StandardReduction: reduce_to_standard(r.cls),
-            CurveReport: normality_profile(r.cls), PointConfig: point_config(0),
+            PointConfig: point_config(0),
             Perm: Perm((2, 1, 3, 4, 5, 6)), Cremona: Cremona(1, 2, 3),
             CheckResult: CheckResult("canonical-class", "PASS", "K = (-3;-1,-1,-1,-1,-1,-1)")}
 
@@ -72,18 +70,10 @@ def test_fields_are_pinned_and_read_only(kind):
         value.extra = 0
 
 
-@pytest.mark.parametrize("kind", [k for k in FIELDS if k is not CurveReport], ids=lambda t: t.__name__)
+@pytest.mark.parametrize("kind", list(FIELDS), ids=lambda t: t.__name__)
 def test_records_hash_by_value(kind):
     value = _values(_regression_record())[kind]
     assert hash(value) == hash(kind._make(value)) == hash(tuple(value))
-
-
-def test_curve_report_is_the_unhashable_record():
-    # abnormality is a dict, read as abnormality[n] by the CLI and the tests
-    report = _values(_regression_record())[CurveReport]
-    assert report.abnormality == {1: 0, 2: 0, 3: 2}
-    with pytest.raises(TypeError):
-        hash(report)
 
 
 def test_two_census_runs_give_equal_records_and_hashes():
