@@ -18,9 +18,9 @@ import io
 from functools import lru_cache
 from typing import NamedTuple
 
-from .curve import _genus, _standard_facts, hodge_genus_bound, is_smooth_standard
-from .errors import DegreeTooSmall, GenusOutOfHodgeRange, InvariantViolation
-from .lattice import DivisorClass, is_standard
+from .curve import _genus, _standard_facts, hodge_genus_bound
+from .errors import DegreeTooSmall, GenusOutOfHodgeRange
+from .lattice import DivisorClass
 from .obstruction import (
     HilbertDimResult,
     KleppeVerdict,
@@ -67,11 +67,7 @@ def _families_by_genus(d: int) -> dict[int, tuple[DivisorClass, ...]]:
 def enumerate_families(d: int, g: int) -> tuple[DivisorClass, ...]:
     """All families (standard, b6 >= 0, a > b1) of the given degree and genus,
     sorted lexicographically on (a, b1..b6); hodge_genus_bound rejects d <= 0.
-
-    Empty for d = 1 and d = 2: a family needs a > b1 and b6 >= 0, which the
-    lines and conic classes fail although has_smooth_member accepts them.
-    From d = 3 on, a standard class is enumerated exactly when
-    has_smooth_member holds.
+    Empty for d = 1 and d = 2, whose lines and conics have a = b1 or b6 < 0.
     """
     if not 0 <= g <= hodge_genus_bound(d):
         raise GenusOutOfHodgeRange(f"genus {g} outside [0, {hodge_genus_bound(d)}] for degree {d}")
@@ -94,11 +90,9 @@ class CensusRecord(NamedTuple):
 def _record_of(cls: DivisorClass, d: int, g: int) -> CensusRecord:
     """The census record of an enumerated class of degree d and genus g.
 
-    The class is already standard, so it is checked, not reduced: sorted
-    with a >= b1+b2+b3, and a > b1, b6 >= 0 for a smooth member.
+    The class is already standard, so it is not reduced; _standard_facts
+    checks it and its facts as it does on every other path.
     """
-    if not (is_standard(cls) and is_smooth_standard(cls)):
-        raise InvariantViolation(f"enumerated class {cls} is not a standard smooth-member class")
     facts = _standard_facts(cls, d, g)
     h1_ic1, h1_ic2, h1_ic3 = facts.defects
     normality = 0 if h1_ic1 else 1 if h1_ic2 else 2 if h1_ic3 else 3

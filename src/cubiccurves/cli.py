@@ -319,18 +319,16 @@ def _oracle_h0(args) -> tuple[str, int]:
 
 
 def _gen_obstructed(args) -> tuple[str, int]:
-    from .curve import curve_facts
-    from .obstruction import gen_obstructed, verdict_of
+    from .obstruction import _generated
     a, b = parse_class_text(args.dprime, 5)
-    cls = gen_obstructed(args.k, (a, *b))
-    facts = curve_facts(cls)
+    facts, verdict = _generated(args.k, (a, *b))
     payload = {
         "k": args.k,
         "dprime": args.dprime,
-        "class": str(cls),
+        "class": str(facts.standard),
         "d": facts.d,
         "g": facts.g,
-        "verdict": _verdict_json(verdict_of(facts)),
+        "verdict": _verdict_json(verdict),
     }
     return _render_payloads([payload], args.format, batch=False), 0
 

@@ -8,10 +8,11 @@ or is the line (0; 0^5, -1) or the conic class (1; 1, 0^5).
 The n-normality defect of such a curve is h1 of the ideal sheaf twisted by
 n, which lives on the surface as h1(S, -(C + nK)).
 
-curve_facts computes, once per class, every number the obstruction,
-dimension, normality and census code reads, as plain integers: h0, h1 and
+_standard_facts builds and checks every CurveFacts, for curve_facts and
+each census record alike: once per class, every number the obstruction,
+dimension, normality and census code reads, as plain integers (h0, h1 and
 h2 of the three twists -(C + nK); the normality profile is its defects and
-s_invariant.  The 27 line pairings of L = C + 3K are not among them: the
+s_invariant).  The 27 line pairings of L = C + 3K are not among them: the
 obstruction module's line scan, their one reader, computes them.
 """
 
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 from .cohomology import _chi, cohomology, h0_ab
 from .errors import InvariantViolation, NonPositiveDegree, NotSmoothMember
-from .lattice import K, DivisorClass, degree, reduce_to_standard
+from .lattice import K, DivisorClass, degree, is_standard, reduce_to_standard
 
 
 def _genus(a: int, b: tuple[int, ...], d: int) -> int:
@@ -94,26 +95,16 @@ class CurveFacts(NamedTuple):
 
 
 def curve_facts(c: DivisorClass) -> CurveFacts:
-    """The CurveFacts of c, computed in one pass on its standard form (or NotSmoothMember);
-    InvariantViolation for a genus outside [0, hodge_genus_bound(d)] or non-monotone defects."""
+    """The CurveFacts of c, computed in one pass on its standard form (or
+    NotSmoothMember); _standard_facts checks what it builds."""
     std = require_smooth_member(c)
-    d, g = invariants(std)
-    facts = _standard_facts(std, d, g)
-    if not 0 <= g <= hodge_genus_bound(d):
-        raise InvariantViolation(f"genus {g} outside [0, {hodge_genus_bound(d)}] for {std}")
-    # Monotone once C+nK is effective with positive square: n-normal implies
-    # m-normal for m < n.  h0(C + nK) is the h2 of the (n-1)-th twist.  With
-    # C.C = 2g - 2 + d, K.C = -d and K.K = 3, (C + nK)^2 = 2g - 2 + d - 2nd + 3n^2.
-    for n in (2, 3):
-        square = 2 * g - 2 + d - 2 * n * d + 3 * n * n
-        if facts.defects[n - 1] == 0 and any(facts.defects[: n - 1]) and square > 0 and facts.h2s[n - 2] > 0:
-            raise InvariantViolation(f"{std} is {n}-normal but not m-normal for some m < {n}")
-    return facts
+    return _standard_facts(std, *invariants(std))
 
 
 def _standard_facts(std: DivisorClass, d: int, g: int) -> CurveFacts:
-    """The CurveFacts of a smooth-member class std already in standard form,
-    of degree d and genus g.
+    """The CurveFacts of std, of degree d and genus g; InvariantViolation
+    unless std is a standard smooth-member class, g is in [0,
+    hodge_genus_bound(d)], each h1 >= 0 and the defects are monotone.
 
     The twists run on the coefficients: -(C + nK) = (3n - a; n - b1, ..., n - b6)
     and C + (n+1)K = (a - 3n - 3; b1 - n - 1, ..., b6 - n - 1), whose h0 is
@@ -121,7 +112,13 @@ def _standard_facts(std: DivisorClass, d: int, g: int) -> CurveFacts:
     coefficients: with C.C = 2g - 2 + d, K.C = -d and K.K = 3, Riemann-Roch
     gives chi(-(C + nK)) = (C + nK).(C + (n+1)K)/2 + 1 = g - nd + 3n(n+1)/2.
     -(C + nK) has degree 3n - d, so when d > 3n its h0 is 0 without stripping.
+    Monotone: n-normal implies m-normal for m < n once (C + nK)^2 =
+    2g - 2 + d - 2nd + 3n^2 > 0 and h0(C + nK), twist n-1's h2, is > 0.
     """
+    if not (is_standard(std) and is_smooth_standard(std)):
+        raise InvariantViolation(f"{std} is not a standard smooth-member class")
+    if not 0 <= g <= hodge_genus_bound(d):
+        raise InvariantViolation(f"genus {g} outside [0, {hodge_genus_bound(d)}] for {std}")
     a = std.a
     b1, b2, b3, b4, b5, b6 = std.b
     h0s, h1s, h2s = [], [], []
@@ -132,6 +129,8 @@ def _standard_facts(std: DivisorClass, d: int, g: int) -> CurveFacts:
         h1 = h0 + h2 - (g - n * d + 3 * n * m // 2)
         if h1 < 0:
             raise InvariantViolation(f"negative h1 for {-(std + n * K)}")
+        if not h1 and any(h1s) and 2 * g - 2 + d - 2 * n * d + 3 * n * n > 0 and h2s[-1] > 0:
+            raise InvariantViolation(f"{std} is {n}-normal but not m-normal for some m < {n}")
         h0s.append(h0)
         h1s.append(h1)
         h2s.append(h2)

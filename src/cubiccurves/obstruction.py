@@ -27,8 +27,12 @@ from .lattice import K, DivisorClass, line_pairings, lines27
 
 def _restriction_onto(da: int, db: tuple[int, ...], ea: int, eb: tuple[int, ...], target: int) -> bool:
     """restriction_surjective on the coefficients of Delta = (da; db) and a line
-    E = (ea; eb), given the target's dimension h0(E, Delta|E)."""
-    return h0_ab(da, db) - h0_ab(da - ea, tuple([x - y for x, y in zip(db, eb)])) == target
+    E = (ea; eb), given the target's dimension h0(E, Delta|E).  The image,
+    h0(Delta) - h0(Delta - E), is checked to lie in [0, target]."""
+    image = h0_ab(da, db) - h0_ab(da - ea, tuple([x - y for x, y in zip(db, eb)]))
+    if not 0 <= image <= target:
+        raise InvariantViolation(f"restriction image {image} outside [0, {target}] for Delta = {DivisorClass(da, db)}")
+    return image == target
 
 
 def restriction_surjective(delta: DivisorClass, e: DivisorClass) -> bool:
@@ -71,8 +75,7 @@ def classify(c: DivisorClass) -> ObstructionVerdict:
     an obstruction is reported as the witness, all of them are kept as
     diagnostics.  A line with m = -L.E in {2,3} certifies only when the
     restriction of Delta = L + K - 2mE to E is surjective; if no line
-    certifies, the verdict is Undetermined (never guessed).  One pass:
-    the verdict is read off curve_facts(c).
+    certifies, the verdict is Undetermined (never guessed).
     """
     return verdict_of(curve_facts(c))
 
@@ -140,8 +143,7 @@ def hilbert_dim(c: DivisorClass) -> HilbertDimResult:
     unobstructed [C] is a smooth point of dimension n; an obstructed one has
     dimension d+g+18 when the Kleppe verdict is ProvenTheorem1 (Theorem
     1.1), exactly n - 1 = 4d when h0(S, C+4K) = 1, else lies in [4d, n - 1];
-    an undetermined one lies in [4d, n].  One pass: the dimension is read
-    off curve_facts(c), its verdict and its Kleppe verdict.
+    an undetermined one lies in [4d, n].
     """
     facts = curve_facts(c)
     return dim_of(facts, verdict_of(facts), kleppe_of(facts))
@@ -210,7 +212,6 @@ def kleppe_verdict(c: DivisorClass) -> KleppeVerdict:
     8(g - 7) > (d - 2)^2, else the question is open here.  The other known
     range, 14 <= d <= 17, is empty on a smooth cubic: of the 324 families
     there, 7 meet the four hypotheses and all 7 are quadratically normal.
-    The hypotheses are read off curve_facts(c).
     """
     return kleppe_of(curve_facts(c))
 
@@ -240,6 +241,11 @@ def gen_obstructed(k: int, dprime: tuple[int, int, int, int, int, int] = (0, 0, 
     The seed must satisfy a >= b1+b2+b3 and b1 >= ... >= b5 >= 0; the result
     meets e6 in k and always classifies as Obstructed.
     """
+    return _generated(k, dprime)[0].standard
+
+
+def _generated(k: int, dprime: tuple[int, ...]) -> tuple[CurveFacts, ObstructionVerdict]:
+    """gen_obstructed's facts and verdict, off one pass (its class is standard)."""
     if not 0 <= k <= 2:
         raise InvalidK(f"k must be 0, 1 or 2, got {k}")
     # operator.index, not int: a float or a digit string is a TypeError, not truncated
@@ -252,7 +258,8 @@ def gen_obstructed(k: int, dprime: tuple[int, int, int, int, int, int] = (0, 0, 
     e6 = lines27()[5]
     if out.dot(e6) != k:
         raise InvariantViolation(f"{out} meets e6 in {out.dot(e6)}, not k = {k}")
-    kind = classify(out).kind
-    if kind != "Obstructed":
-        raise InvariantViolation(f"generated class {out} classifies as {kind}, not Obstructed")
-    return out
+    facts = curve_facts(out)
+    verdict = verdict_of(facts)
+    if verdict.kind != "Obstructed":
+        raise InvariantViolation(f"generated class {out} classifies as {verdict.kind}, not Obstructed")
+    return facts, verdict

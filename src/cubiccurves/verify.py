@@ -27,8 +27,8 @@ from .curve import abnormality, curve_facts, has_smooth_member, invariants
 from .census import enumerate_families
 from .lattice import K, DivisorClass, conics27, is_standard, lines27
 from .obstruction import (
+    _generated,
     classify,
-    gen_obstructed,
     h0_normal,
     hilbert_dim,
     kleppe_verdict,
@@ -125,8 +125,8 @@ _hilbert = attrgetter("kind", "value", "method")
 
 
 def _mumford_generated() -> tuple:
-    c = gen_obstructed(2)
-    return (c, invariants(c), *attrgetter("kind", "m", "rule")(classify(c)))
+    facts, verdict = _generated(2, (0,) * 6)
+    return (facts.standard, (facts.d, facts.g), *attrgetter("kind", "m", "rule")(verdict))
 
 
 def _maximality_verdicts() -> tuple:

@@ -13,12 +13,12 @@ import random
 
 import pytest
 
-from cubiccurves import obstruction
+from cubiccurves import curve, obstruction
 from cubiccurves.census import _record_of, census_range
 from cubiccurves.cli import run
 from cubiccurves.cohomology import CohomologyTriple, _chi, cohomology, h0
 from cubiccurves.curve import _standard_facts, abnormality, curve_facts, hodge_genus_bound, invariants
-from cubiccurves.errors import NotSmoothMember
+from cubiccurves.errors import InvariantViolation, NotSmoothMember
 from cubiccurves.lattice import Cremona, DivisorClass, K, Perm, apply_word, lines27
 from cubiccurves.obstruction import KleppeVerdict, ObstructionVerdict, classify, hilbert_dim, kleppe_verdict
 
@@ -124,6 +124,31 @@ def test_census_records_build_no_triples_and_pairings_only_for_the_line_scan(mon
 def test_facts_need_a_smooth_member():
     with pytest.raises(NotSmoothMember):
         curve_facts(DivisorClass.of(1, 1, 1, 1, 0, 0, 0))
+
+
+def test_standard_facts_checks_its_class_and_genus():
+    # the one CurveFacts constructor checks its input, so a census record
+    # runs the checks that curve_facts runs: a class out of standard form, a
+    # standard class with no smooth member (a = b1), a genus outside the
+    # Hodge range
+    for c in (DivisorClass.of(5, 1, 1, 2, 1, 0, 0), DivisorClass.of(2, 2, 0, 0, 0, 0, 0)):
+        with pytest.raises(InvariantViolation, match="is not a standard smooth-member class"):
+            _standard_facts(c, *invariants(c))
+    mumford = DivisorClass.of(12, 4, 4, 4, 4, 4, 2)
+    assert _standard_facts(mumford, 14, 24) == curve_facts(mumford)
+    for g in (-1, hodge_genus_bound(14) + 1):
+        with pytest.raises(InvariantViolation, match=rf"genus {g} outside \[0, 78\]"):
+            _standard_facts(mumford, 14, g)
+
+
+def test_gen_obstructed_builds_its_facts_once(capsys, monkeypatch):
+    # the generator's Obstructed check and the CLI payload read one facts pass
+    calls = []
+    facts = curve._standard_facts
+    monkeypatch.setattr(curve, "_standard_facts", lambda *a: calls.append(a) or facts(*a))
+    assert run(["gen-obstructed", "--k", "1"]) == 0
+    assert "Obstructed" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_negative_degree_twist_shortcut_is_strict():

@@ -27,6 +27,11 @@ from cubiccurves import cli
 sys.exit(cli.run(sys.argv[2:]))
 """
 
+FORGED_C_PLUS_2K = (
+    "cu = importlib.import_module('cubiccurves.curve'); h0 = cu.h0_ab;"
+    " cu.h0_ab = lambda a, b: h0(a, b) + ((a, b) == (6, (2, 2, 2, 2, 0, 0)))"
+)
+
 CASES = {
     # h1 = h0 + h2 - chi < 0 once h0 reads as 0
     "negative-h1": (
@@ -83,7 +88,7 @@ CASES = {
     # the generated class must classify as Obstructed
     "generator-obstructed": (
         "ob = importlib.import_module('cubiccurves.obstruction');"
-        " ob.classify = lambda c: ob.ObstructionVerdict(kind='Unobstructed')",
+        " ob.verdict_of = lambda f: ob.ObstructionVerdict(kind='Unobstructed')",
         ["gen-obstructed", "--k", "1"],
         "classifies as Unobstructed",
     ),
@@ -115,21 +120,27 @@ CASES = {
         ["normality", "12;4,4,4,4,2,2"],
         "genus 29 outside [0, -1]",
     ),
-    # defects read as (1, 0, 0): 2-normal but not 1-normal, while C + 2K
+    # h0(C + 2K) of (16, 29), C + 2K = (6; 2,2,2,2,0,0), read one too high
+    # makes its defects (1, 0, 2): 2-normal but not 1-normal, while C + 2K
     # has positive square and a section
-    "normality-monotone": (
-        "cu = importlib.import_module('cubiccurves.curve'); facts = cu._standard_facts;"
-        " cu._standard_facts = lambda *a: facts(*a)._replace(defects=(1, 0, 0))",
-        ["normality", "12;4,4,4,4,2,2"],
+    "normality-monotone": (FORGED_C_PLUS_2K, ["normality", "12;4,4,4,4,2,2"], "is 2-normal but not m-normal"),
+    # the same check on the obstruction path: classify builds its facts
+    # through the same constructor
+    "classify-normality-monotone": (FORGED_C_PLUS_2K, ["classify", "12;4,4,4,4,2,2"], "is 2-normal but not m-normal"),
+    # and on the census record path, which builds (16, 29)'s facts there too
+    "census-normality-monotone": (
+        FORGED_C_PLUS_2K,
+        ["census", "--d-min", "16", "--d-max", "16", "--g-min", "29", "--g-max", "29", "--format", "csv"],
         "is 2-normal but not m-normal",
     ),
-    # the same check on the obstruction path: curve_facts checks every
-    # class it builds, so classify reaches it too
-    "classify-normality-monotone": (
-        "cu = importlib.import_module('cubiccurves.curve'); facts = cu._standard_facts;"
-        " cu._standard_facts = lambda *a: facts(*a)._replace(defects=(1, 0, 0))",
-        ["classify", "12;4,4,4,4,2,2"],
-        "is 2-normal but not m-normal",
+    # the one restriction test of (15, 25) = (12; 4,4,4,4,4,1), Delta =
+    # (0; 0^5, 1) onto a line with target m = 2, has image 0 - 0; h0(Delta)
+    # read as 3 puts the image at 3, above the target
+    "restriction-image-above-target": (
+        "ob = importlib.import_module('cubiccurves.obstruction'); h0 = ob.h0_ab;"
+        " ob.h0_ab = lambda a, b: h0(a, b) + 3 * ((a, b) == (0, (0, 0, 0, 0, 0, 1)))",
+        ["classify", "12;4,4,4,4,4,1"],
+        "restriction image 3 outside [0, 2]",
     ),
     # every line meeting L = C + 3K in 0 makes L nef although h1(-L) and
     # h2(-L) are nonzero
