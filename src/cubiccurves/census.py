@@ -8,13 +8,18 @@ coefficient sum is pinned to 3a - d and a is confined to [ceil(d/3), d], so
 enumeration is a bounded partition walk, and its classes need no reduction.
 Census records are pure functions of the class, each built from one
 CurveFacts pass on plain integers, and come out in a fixed (d, g, class)
-order.  The census runs in one thread, because a thread pool made it no
-faster.
+order.  census_window_csv renders a window's CSV in forked processes, one
+per slice of degrees, each sending its rows back as text; records stay in
+the process that builds them, because shipping them cost more than it saved.
 """
 
 from __future__ import annotations
 
+import gc
 import io
+import os
+import signal
+import threading
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -101,6 +106,13 @@ def _record_of(cls: DivisorClass, d: int, g: int) -> CensusRecord:
                         dim_of(facts, verdict, kleppe), kleppe, d + g + 18)
 
 
+def _check_window(d_min: int, d_max: int, g_min: int, g_max: int) -> None:
+    if d_min <= 9:
+        raise DegreeTooSmall(f"census needs d_min > 9, got {d_min}")
+    if d_max < d_min or g_max < g_min or g_min < 0:
+        raise GenusOutOfHodgeRange(f"empty or negative range d=[{d_min},{d_max}] g=[{g_min},{g_max}]")
+
+
 def census_range(d_min: int, d_max: int, g_min: int, g_max: int) -> tuple[tuple[CensusRecord, ...], dict[str, int]]:
     """Records for every family with d in [d_min, d_max], g in [g_min, g_max].
 
@@ -109,10 +121,7 @@ def census_range(d_min: int, d_max: int, g_min: int, g_max: int) -> tuple[tuple[
     counted as empty.  Each record is one facts pass over its enumerated
     class, which is standard already and is not reduced (_record_of).
     """
-    if d_min <= 9:
-        raise DegreeTooSmall(f"census needs d_min > 9, got {d_min}")
-    if d_max < d_min or g_max < g_min or g_min < 0:
-        raise GenusOutOfHodgeRange(f"empty or negative range d=[{d_min},{d_max}] g=[{g_min},{g_max}]")
+    _check_window(d_min, d_max, g_min, g_max)
     records: list[CensusRecord] = []
     cells = empty = 0
     for d in range(d_min, d_max + 1):
@@ -162,3 +171,64 @@ def census_csv(records) -> str:
     writer.writerow(CSV_COLUMNS.split(","))
     writer.writerows(census_rows(records))
     return buf.getvalue()
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _slices(d_min: int, d_max: int, n: int) -> list[tuple[int, int]]:
+    """d_min..d_max cut into at most n runs of degrees (lo, hi) of about equal
+    work, a degree's share being d**4, which tracks its census time."""
+    total, done, cuts = sum(d ** 4 for d in range(d_min, d_max + 1)), 0, [d_min]
+    for d in range(d_min + 1, d_max + 1):
+        done += (d - 1) ** 4
+        if len(cuts) < n and (2 * done + d ** 4) * n > 2 * total * len(cuts):
+            cuts.append(d)
+    return [(lo, hi - 1) for lo, hi in zip(cuts, cuts[1:] + [d_max + 1])]
+
+
+def census_window_csv(d_min: int, d_max: int, g_min: int, g_max: int, workers: int = 1) -> str:
+    """census_csv(census_range(d_min, d_max, g_min, g_max)[0]), byte for byte,
+    from at most min(workers, CPUs) slices of degrees where os.fork exists
+    and no other thread runs.  This process renders the first slice and a
+    forked child each other one, sending back its CSV, or the exception it
+    raised, pickled.  The first error in degree order is raised; a child
+    that ends without a result raises ChildProcessError.  No child outlives
+    the call."""
+    _check_window(d_min, d_max, g_min, g_max)
+    forkable = hasattr(os, "fork") and threading.active_count() == 1  # a fork beside threads can deadlock
+    slices = _slices(d_min, d_max, min(workers, _cpus()) if forkable else 1)
+    children = []
+    try:
+        for lo, hi in slices[1:]:
+            import pickle  # loaded only by a call that forks
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:  # the child never returns
+                try:
+                    gc.disable()  # a collection would copy every inherited page it walks
+                    try:
+                        out = census_csv(census_range(lo, hi, g_min, g_max)[0])
+                    except Exception as e:
+                        out = e
+                    with os.fdopen(w, "wb") as pipe:
+                        pipe.write(pickle.dumps(out))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb"), lo, hi))
+        texts = [census_csv(census_range(*slices[0], g_min, g_max)[0])]
+        for _, pipe, lo, hi in children:
+            try:
+                out = pickle.loads(pipe.read())
+            except (EOFError, pickle.UnpicklingError):  # nothing, or a cut-off payload
+                raise ChildProcessError(f"census worker for d {lo}..{hi} ended without a result") from None
+            if isinstance(out, Exception):
+                raise out
+            texts.append(out.partition("\n")[2])
+    finally:
+        for pid, pipe, _, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)  # stops a child still at work; one that has exited stays unreaped till here
+            os.waitpid(pid, 0)
+    return "".join(texts)

@@ -2,10 +2,11 @@
 
 Classes are written "a;b1,b2,b3,b4,b5,b6".  Output formats: table (default),
 json (byte-stable field order), csv.  Exit codes: 0 success, 1 usage or
-parse error, 2 precondition failure (invalid class for the operation),
-3 internal assertion failure.  Each subcommand is registered once, in
-_build_parser, with the runner that maps its parsed arguments to (text, code).
-Runners and renderers import what they use, so a command loads only that.
+parse error, 2 precondition failure (invalid class for the operation), 3
+internal failure (a failed invariant, or a census worker that died).  Each
+subcommand is registered once, in _build_parser, with the runner that maps
+its parsed arguments to (text, code).  Runners and renderers import what they
+use, so a command loads only that.
 """
 
 from __future__ import annotations
@@ -99,6 +100,10 @@ def _dim_json(r) -> dict:
 # --- per-command payload builders -----------------------------------------
 
 
+def _facts_head(cls: DivisorClass, facts) -> dict:
+    return {"class": str(cls), "standard": str(facts.standard), "d": facts.d, "g": facts.g}
+
+
 def _cmd_reduce(cls: DivisorClass) -> dict:
     red = reduce_to_standard(cls)
     return {
@@ -129,10 +134,7 @@ def _cmd_normality(cls: DivisorClass) -> dict:
     from .curve import curve_facts
     facts = curve_facts(cls)
     return {
-        "class": str(cls),
-        "standard": str(facts.standard),
-        "d": facts.d,
-        "g": facts.g,
+        **_facts_head(cls, facts),
         "abnormality": {str(n): facts.defects[n - 1] for n in (1, 2, 3)},
         "s_invariant": facts.s_invariant,
         "s_note": "curve lies on the cubic" if facts.s_invariant == 3 else "",
@@ -154,10 +156,7 @@ def _cmd_hilbert_dim(cls: DivisorClass) -> dict:
     facts = curve_facts(cls)
     r = dim_of(facts, verdict_of(facts), kleppe_of(facts))
     return {
-        "class": str(cls),
-        "standard": str(facts.standard),
-        "d": facts.d,
-        "g": facts.g,
+        **_facts_head(cls, facts),
         "h1_ic3": facts.defects[2],
         "h2": facts.h2,
         "dim": _dim_json(r),
@@ -168,13 +167,7 @@ def _cmd_kleppe(cls: DivisorClass) -> dict:
     from .curve import curve_facts
     from .obstruction import kleppe_of
     facts = curve_facts(cls)
-    return {
-        "class": str(cls),
-        "standard": str(facts.standard),
-        "d": facts.d,
-        "g": facts.g,
-        "kleppe": kleppe_of(facts)._asdict(),
-    }
+    return {**_facts_head(cls, facts), "kleppe": kleppe_of(facts)._asdict()}
 
 
 # name -> (payload builder, help); each takes one class and returns its payload
@@ -231,12 +224,6 @@ def _csv_rows(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _payloads_csv(payloads: list[dict]) -> str:
-    flats = [_flat(p) for p in payloads]
-    header = [k for k, _ in flats[0]]
-    return _csv_rows([header] + [[v for _, v in f] for f in flats])
-
-
 def _table_lines(payload: dict, indent: int = 0) -> list[str]:
     lines = []
     pad = "  " * indent
@@ -266,17 +253,15 @@ def _render_payloads(payloads: list[dict], fmt: str, batch: bool) -> str:
             return "".join(json.dumps(p, separators=(",", ":")) + "\n" for p in payloads)
         return json.dumps(payloads[0], indent=2) + "\n"
     if fmt == "csv":
-        return _payloads_csv(payloads)
+        flats = [_flat(p) for p in payloads]
+        return _csv_rows([[k for k, _ in flats[0]], *([v for _, v in f] for f in flats)])
     blocks = ["\n".join(_table_lines(p)) for p in payloads]
     return "\n\n".join(blocks) + "\n"
 
 
 def _aligned_table(header: Sequence[str], rows) -> str:
     rows = [[str(cell) for cell in row] for row in rows]
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
     def fmt_row(row):
         return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
     return "\n".join([fmt_row(header)] + [fmt_row(r) for r in rows]) + "\n"
@@ -334,10 +319,13 @@ def _gen_obstructed(args) -> tuple[str, int]:
 
 
 def _census(args) -> tuple[str, int]:
-    from .census import CSV_COLUMNS, census_csv, census_range, census_rows
-    records, summary = census_range(args.d_min, args.d_max, args.g_min, args.g_max)
+    from .census import CSV_COLUMNS, census_range, census_rows, census_window_csv
+    if args.threads < 1:
+        raise PreconditionError(f"--threads must be at least 1, got {args.threads}")
+    window = args.d_min, args.d_max, args.g_min, args.g_max
     if args.format == "csv":
-        return census_csv(records), 0
+        return census_window_csv(*window, args.threads), 0
+    records, summary = census_range(*window)
 
     def doc():
         params = {"d_min": args.d_min, "d_max": args.d_max, "g_min": args.g_min, "g_max": args.g_max}
@@ -381,7 +369,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--d-max", type=int, required=True)
     sp.add_argument("--g-min", type=int, required=True)
     sp.add_argument("--g-max", type=int, required=True)
-    sp.add_argument("--threads", type=int, default=1, help="accepted and ignored: the census runs in one thread")
+    sp.add_argument("--threads", type=int, default=1, help="CSV only: render the degrees in up to N forked processes (at most one per degree and per CPU)")
     sp.set_defaults(run=_census)
 
     sp = sub.add_parser("gen-obstructed", parents=[common], help="build an obstructed class from (k, seed class)")
@@ -422,7 +410,7 @@ def run(argv=None) -> int:
     except PreconditionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (AssertionError, DegeneratePoints) as e:
+    except (AssertionError, DegeneratePoints, ChildProcessError) as e:
         print(f"internal error: {e!r}", file=sys.stderr)
         return 3
     if args.out:

@@ -595,7 +595,7 @@ def test_criterion_09_census_determinism(capfd, census):
         cell, _ = census_range(d, d, g, g)
         if cls not in {r.cls for r in cell}:
             bad.append(f"d={d} g={g} record missing")
-    _verdict(capfd, 9, f"census d=10..20 ({summary['records']} records): CLI CSV, --threads 8 ignored, equals census_csv", bad)
+    _verdict(capfd, 9, f"census d=10..20 ({summary['records']} records): CLI CSV, --threads 8 forked, equals census_csv", bad)
 
 
 def test_criterion_10_consistency_web(capfd, census):
