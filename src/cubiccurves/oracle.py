@@ -11,7 +11,7 @@ not change h0) and a < 0 gives 0 outright.  Classes that still have
 a > A_MAX after clamping are turned away (OracleTooLarge) instead of
 running for minutes.  That one rule bounds the cost.
 
-The rank is taken over Z/P with the prime P = 2^61 - 1 (no floating point),
+The rank is taken over Z/P with the prime P = 2^31 - 1 (no floating point),
 in a frame chosen per point set (condition_rank).  The three points of
 largest multiplicity go to the coordinate points [0:0:1], [0:1:0], [1:0:0],
 where "multiplicity >= m" only says that the coefficients of some monomials
@@ -19,13 +19,15 @@ vanish; those monomials are counted, not eliminated.  The torus left over
 takes the heaviest other point p3 to [1:1:1], where its rows do not depend
 on the points: they are eliminated once per call (_frame), and each seed
 eliminates only the two lightest points' rows, against p3's pivots and their
-own.  The rank mod P is that of the untransformed matrix: the change of
-coordinates is invertible over F_P (its determinant and the brackets that
-scale p3 are nonzero integers below P in absolute value), it maps "vanishes
-to order m at p" onto "vanishes to order m at its image", and P exceeds
-every degree, so derivatives of order < m describe order-m vanishing over
-F_P as they do over Q.  A degenerate point set raises DegeneratePoints.
-Over a <= A_MAX the work peaks at (30; 12^6), under half a second a call.
+own.  The rank mod P is that of the untransformed matrix, because:
+every bracket of three grid points, det M and each adj(M)-mapped coordinate
+among them, is an integer of absolute value at most 98^2 < P, so a nonzero
+one stays nonzero mod P and the change of coordinates is invertible over
+F_P; it maps "vanishes to order m at p" onto "vanishes to order m at its
+image"; and P > A_MAX exceeds every degree, so derivatives of order < m
+describe order-m vanishing over F_P as they do over Q.  A degenerate point
+set raises DegeneratePoints.  Over a <= A_MAX the work peaks at (33; 13^6),
+under half a second a call.
 
 A minor that is nonzero mod P is nonzero over the integers, and ranks at
 special points can only drop, so
@@ -36,7 +38,7 @@ special points can only drop, so
 The oracle reruns with two further seeds and keeps the minimum section
 count.  An engine value that is too low is therefore always caught; one
 that is too high gets through only if, at each of the three seeds, the
-points are special or P divides the relevant minor.
+points are special or P divides the relevant minor (about 2^-31 a seed).
 
 Points are drawn from a small integer grid, checked exactly for degeneracy
 (no three collinear; no conic through all six, by the bracket identity in
@@ -60,11 +62,12 @@ except ImportError:  # pragma: no cover
     mpz = int
 
 # grid height, well under the 10^4 cap; keeps minors small, and each 3x3
-# determinant of points below 2 * 99^2 < P, so no three points are
-# collinear mod P either
+# determinant of points at most 98^2 < P in absolute value, so no three
+# points are collinear mod P either
 COORD_MAX = 99
-P = 2**61 - 1  # the Mersenne prime the ranks are taken over
-A_MAX = 30  # largest clamped a the oracle takes on, and the only size rule
+P_BITS = 31
+P = (1 << P_BITS) - 1  # the Mersenne prime the ranks are taken over
+A_MAX = 33  # largest clamped a the oracle takes on, and the only size rule
 
 
 def exact_rank(rows) -> int:
@@ -99,26 +102,26 @@ def _slot_bytes(pivots: int) -> int:
     """Bytes per slot that no row outgrows in an elimination with <= pivots pivots.
 
     A slot starts below P^2 and takes at most one update per pivot, which
-    adds f * s with f < P and a pivot slot s < 2^62 (see _folds), so every
-    slot stays below (pivots + 1) * 2^123.
+    adds f * s with f < P and a pivot slot s < 2^(P_BITS + 1) (see _folds),
+    so every slot stays below (pivots + 1) * 2^(2 P_BITS + 1).
     """
-    return (((pivots + 1) << 123).bit_length() + 7) // 8
+    return (((pivots + 1) << 2 * P_BITS + 1).bit_length() + 7) // 8
 
 
 def _fold(row: int, low: int, high: int) -> int:
-    """Each slot's bits above bit 61 added to its low 61 bits: the same residue mod P = 2^61 - 1.
+    """Each slot's bits above bit P_BITS added to its low P_BITS bits: its residue mod P = 2^P_BITS - 1.
 
-    low holds P in every slot, high the W - 61 low bits.  A slot below B
-    comes out below P + 1 + (B >> 61), and none carries.
+    low holds P in every slot, high the W - P_BITS low bits.  A slot below B
+    comes out below P + 1 + (B >> P_BITS), and none carries.
     """
-    return (row & low) + ((row >> 61) & high)
+    return (row & low) + ((row >> P_BITS) & high)
 
 
 def _folds(bound: int) -> int:
-    """How many folds take every slot below bound to below 2^62."""
+    """How many folds take every slot below bound to below 2^(P_BITS + 1)."""
     n = 0
-    while bound >= 1 << 62:
-        n, bound = n + 1, P + 1 + (bound >> 61)
+    while bound >= 1 << P_BITS + 1:
+        n, bound = n + 1, P + 1 + (bound >> P_BITS)
     return n
 
 
@@ -127,20 +130,21 @@ def _eliminate(packed: list[int], cols: int, nbytes: int, pivots: list) -> int:
 
     The leading column sits in the lowest slot.  At column c the pivot is
     pivots[c] if recorded, else the first row whose leading slot is nonzero
-    mod P, folded below 2^62 per slot, scaled to lead with -1, folded below
-    2^62 again, stripped of its leading slot and recorded in pivots[c], all
-    on the packed row.  Clearing the leading column of any other row r is
-    then one big-int multiply-add (r >> W) + ((r & mask) % P) * pivot, which
-    also drops that column.  Rows that are zero mod P ride along with factor
-    0.  Other rows are never reduced.  Returns the count of pivots found.
+    mod P, folded below 2^(P_BITS + 1) per slot, scaled to lead with -1,
+    folded below that again, stripped of its leading slot and recorded in
+    pivots[c], all on the packed row.  Clearing the leading column of any
+    other row r is then one big-int multiply-add
+    (r >> W) + ((r & mask) % P) * pivot, which also drops that column.  Rows
+    that are zero mod P ride along with factor 0.  Other rows are never
+    reduced.  Returns the count of pivots found.
     Slots must start below P^2, and nbytes be _slot_bytes(k) for k >= the
     most pivots, recorded or found; then no slot ever carries.
     """
     width = 8 * nbytes
     mask = (1 << width) - 1
     ones = ((1 << width * cols) - 1) // mask  # 1 in every slot
-    low, high = P * ones, ((1 << (width - 61)) - 1) * ones
-    before, after = _folds(1 << width), _folds((P - 1) << 62)
+    low, high = P * ones, ((1 << (width - P_BITS)) - 1) * ones
+    before, after = _folds(1 << width), _folds((P - 1) << P_BITS + 1)
     rank = 0
     for c in range(cols):
         if not packed:
@@ -320,7 +324,7 @@ def h0_interpolation(d: DivisorClass, seed: int = 0) -> int:
 
     OracleTooLarge when the clamped class has a > A_MAX.  No other bound is
     needed: over every class with a <= A_MAX the work is largest at
-    (A_MAX; 12^6), p3's 78 rows on 262 monomials once and 156 per seed.
+    (A_MAX; 13^6), p3's 91 rows on 322 monomials once and 182 per seed.
     """
     if d.a < 0:
         return 0

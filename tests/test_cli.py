@@ -257,19 +257,23 @@ def test_oracle_h0_subcommand(capsys):
 
 
 def test_oracle_h0_budget_exits_2(capsys):
-    # a = 31 is past the oracle's budget of a <= 30: turned away at once
-    assert run(["oracle-h0", "31;10,10,-1,0,0,0"]) == 2
+    # a = 34 is past the oracle's budget of a <= 33: turned away at once
+    assert run(["oracle-h0", "34;10,10,-1,0,0,0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: class 31;10,10,0,0,0,0 (negative bi clamped to 0) is too large for the "
-        "interpolation oracle: a = 31 > 30\n"
+        "error: class 34;10,10,0,0,0,0 (negative bi clamped to 0) is too large for the "
+        "interpolation oracle: a = 34 > 33\n"
     )
     # no bi is negative, so nothing was clamped and the message says nothing of it
-    assert run(["oracle-h0", "31;1,0,0,0,0,0"]) == 2
+    assert run(["oracle-h0", "34;1,0,0,0,0,0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: class 31;1,0,0,0,0,0 is too large for the interpolation oracle: a = 31 > 30\n"
+    assert captured.err == "error: class 34;1,0,0,0,0,0 is too large for the interpolation oracle: a = 34 > 33\n"
+    # a = 33, the edge, is answered: 595 monomials less one condition
+    assert run(["oracle-h0", "33;1,0,0,0,0,0", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["h0"] == 594 and captured.err == ""
 
 
 def test_oracle_h0_negative_seed_exits_2(capsys):
@@ -368,7 +372,7 @@ def test_python_dash_m_matches_run(module, capsys, monkeypatch):
         (["invariants", "12;4,4,4,4,2,2"], ""),
         (["cohomology", "--stdin", "--format", "csv"], "12;4,4,4,4,2,2\n3;1,1,1,1,1,1\n"),
         (["invariants", "12;4"], ""),
-        (["oracle-h0", "31;10,10,-1,0,0,0"], ""),
+        (["oracle-h0", "34;10,10,-1,0,0,0"], ""),
     ]
     codes = []
     for argv, stdin in cases:

@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -20,6 +20,7 @@ from cubiccurves.oracle import (
     A_MAX,
     COORD_MAX,
     P,
+    P_BITS,
     PointConfig,
     _frame,
     _general_position,
@@ -202,27 +203,56 @@ def test_modular_rank_reads_entries_mod_p():
     assert modular_rank([[P, 1], [0, 1]]) == 1 < exact_rank([[P, 1], [0, 1]]) == 2
 
 
-def test_folds_keep_residues_and_bring_slots_below_2_62():
+def test_folds_keep_residues_and_bring_slots_below_2_p_bits_plus_1():
     # slots at the top of each bound the elimination folds from (any slot
-    # below 2^W before scaling, below (P-1) * 2^62 after), with all 61 low
-    # bits set, and random ones: the residues survive, the slots end below
-    # 2^62 and none carries into its neighbour
+    # below 2^W before scaling, below (P-1) * 2^(P_BITS+1) after), with all
+    # P_BITS low bits set, and random ones: the residues survive, the slots
+    # end below 2^(P_BITS+1) and none carries into its neighbour.  The
+    # widths are the narrowest slot, the next one and one a word wider.
     rng = random.Random(62)
-    for nbytes in (16, 17, 24):
+    narrowest = oracle._slot_bytes(0)
+    for nbytes in (narrowest, narrowest + 1, narrowest + 8):
         width = 8 * nbytes
         low = oracle._pack([P] * 6, nbytes)
-        high = oracle._pack([(1 << (width - 61)) - 1] * 6, nbytes)
-        for bound in (1 << width, (P - 1) << 62):
+        high = oracle._pack([(1 << (width - P_BITS)) - 1] * 6, nbytes)
+        for bound in (1 << width, (P - 1) << P_BITS + 1):
             top = bound - 1
-            slots = [top, top - (1 << 61), P, 0, rng.randrange(bound), rng.randrange(bound)]
+            slots = [top, top - (1 << P_BITS), P, 0, rng.randrange(bound), rng.randrange(bound)]
             row = oracle._pack(slots, nbytes)
             for _ in range(oracle._folds(bound)):
                 row = oracle._fold(row, low, high)
             raw = row.to_bytes(6 * nbytes, "little")
             out = [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
-            assert all(x < 1 << 62 for x in out), (nbytes, bound)
+            assert all(x < 1 << P_BITS + 1 for x in out), (nbytes, bound)
             assert [x % P for x in out] == [x % P for x in slots], (nbytes, bound)
-    assert oracle._folds((P - 1) << 62) == 2
+    assert oracle._folds((P - 1) << P_BITS + 1) == 2
+
+
+def test_the_soundness_argument_holds_for_p():
+    # the facts the module docstring's argument reads: P is a prime above
+    # every degree, every bracket of grid points (det M among them) and every
+    # adj(M)-mapped coordinate X, Y, Z is below P in absolute value, so a
+    # nonzero one stays nonzero mod P, and the worst case packs 9-byte slots
+    assert P == 2**P_BITS - 1 and all(P % q for q in range(2, math.isqrt(P) + 1))
+    assert A_MAX < P
+    # a bracket is affine in each of its three points, so its extremes over
+    # the grid [1, COORD_MAX]^2 lie at the corners; condition_rank's adj(M)
+    # rows dotted with a point are brackets too, and are checked as written
+    corners = [(x, y) for x in (1, COORD_MAX) for y in (1, COORD_MAX)]
+    brackets = [
+        (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1) for (x1, y1), (x2, y2), (x3, y3) in product(corners, repeat=3)
+    ]
+    mapped = []
+    for (x0, y0), (x1, y1), (x2, y2), (x, y) in product(corners, repeat=4):
+        adj = (
+            (y1 - y0, x0 - x1, x1 * y0 - x0 * y1),
+            (y0 - y2, x2 - x0, x0 * y2 - x2 * y0),
+            (y2 - y1, x1 - x2, x2 * y1 - x1 * y2),
+        )
+        mapped += [r[0] * x + r[1] * y + r[2] for r in adj]
+    assert max(map(abs, brackets)) == max(map(abs, mapped)) == (COORD_MAX - 1) ** 2 < P
+    # (33; 13^6): 273 lighter rows on 322 monomials
+    assert _frame(A_MAX, (13,) * 6)[5] == oracle._slot_bytes(273) == 9
 
 
 def test_condition_rank_matches_exact_reference():
@@ -409,7 +439,7 @@ def test_point_config_matches_exact_rank_sampler():
 def test_derivatives_match_closed_form():
     rng = random.Random(30)
     for x in (0, 1, 2, P - 1, rng.randrange(P), rng.randrange(P)):
-        for a in range(31):
+        for a in range(A_MAX + 1):
             ref = [[math.perm(u, j) * x ** (u - j) % P if u >= j else 0 for u in range(a + 1)] for j in range(a + 1)]
             for m in range(a + 2):
                 assert oracle._derivatives(x, a, m) == ref[:m], (x, a, m)
@@ -491,23 +521,23 @@ def _call_work(m0: int, m1: int, m2: int) -> int:
     return _elimination_work(rows, cols) + 3 * _elimination_work(2 * rows, cols, min(rows, cols))
 
 
-def test_worst_case_elimination_is_a_max_twelve_sixfold(monkeypatch):
+def test_worst_case_elimination_is_a_max_thirteen_sixfold(monkeypatch):
     # The work grows with every lighter point's rows (with p3's too: one more
     # recorded pivot at column k adds rows * (cols - k) cells and saves the
     # other rows at most as many), and none is heavier than the third
     # heaviest point m2, so three copies of m2 are the worst light triple.
     # The monomials left only grow with a, so a = A_MAX covers every smaller
     # a, and a heavy multiplicity past A_MAX leaves none; that leaves the
-    # 5,456 sorted heavy triples in 0..A_MAX.
+    # 7,140 sorted heavy triples in 0..A_MAX.
     work, worst = max(
         (_call_work(m0, m1, m2), (m0, m1, m2))
         for m0 in range(A_MAX + 1)
         for m1 in range(m0 + 1)
         for m2 in range(m1 + 1)
     )
-    assert (A_MAX, worst, work) == (30, (12, 12, 12), 13_748_449)
-    # the kernel eliminates exactly the modelled shapes: p3's 78 rows on 262
-    # monomials once, of full rank, then 156 rows against its 78 pivots per seed
+    assert (A_MAX, worst, work) == (33, (13, 13, 13), 23_511_670)
+    # the kernel eliminates exactly the modelled shapes: p3's 91 rows on 322
+    # monomials once, of full rank, then 182 rows against its 91 pivots per seed
     shapes = []
     eliminate = oracle._eliminate
 
@@ -517,8 +547,8 @@ def test_worst_case_elimination_is_a_max_twelve_sixfold(monkeypatch):
 
     monkeypatch.setattr(oracle, "_eliminate", spy)
     oracle._h0_at.cache_clear()
-    assert h0_interpolation(D(A_MAX, *(12,) * 6)) == 28
-    assert shapes == [(78, 262, 0)] + [(156, 262, 78)] * 3
+    assert h0_interpolation(D(A_MAX, *(13,) * 6)) == h0(D(A_MAX, *(13,) * 6)) == 49
+    assert shapes == [(91, 322, 0)] + [(182, 322, 91)] * 3
 
 
 def test_h0_interpolation_builds_p3_rows_once_per_call(monkeypatch):
