@@ -83,11 +83,13 @@ def _word_json(word) -> list:
     return [{"perm": list(g.sigma)} if isinstance(g, Perm) else {"cremona": [g.i, g.j, g.k]} for g in word]
 
 
-def _verdict_json(v) -> dict:
+def _verdict_json(v, facts) -> dict:
+    from .obstruction import _witnesses
+    witnesses = _witnesses(facts) if v.kind == "Obstructed" else ()
     return {
         **v._asdict(),
         "witness_line": str(v.witness_line) if v.witness_line is not None else None,
-        "witnesses": [{"line": str(l), "m": m, "rule": r} for l, m, r in v.witnesses],
+        "witnesses": [{"line": str(l), "m": m, "rule": r} for l, m, r in witnesses],
     }
 
 
@@ -145,9 +147,7 @@ def _cmd_classify(cls: DivisorClass) -> dict:
     from .curve import curve_facts
     from .obstruction import verdict_of
     facts = curve_facts(cls)
-    payload = {"class": str(cls), "standard": str(facts.standard)}
-    payload.update(_verdict_json(verdict_of(facts)))
-    return payload
+    return {"class": str(cls), "standard": str(facts.standard), **_verdict_json(verdict_of(facts), facts)}
 
 
 def _cmd_hilbert_dim(cls: DivisorClass) -> dict:
@@ -313,7 +313,7 @@ def _gen_obstructed(args) -> tuple[str, int]:
         "class": str(facts.standard),
         "d": facts.d,
         "g": facts.g,
-        "verdict": _verdict_json(verdict),
+        "verdict": _verdict_json(verdict, facts),
     }
     return _render_payloads([payload], args.format, batch=False), 0
 

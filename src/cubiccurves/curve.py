@@ -10,10 +10,10 @@ n, which lives on the surface as h1(S, -(C + nK)).
 
 _standard_facts builds and checks every CurveFacts, for curve_facts and
 each census record alike: once per class, every number the obstruction,
-dimension, normality and census code reads, as plain integers (h0, h1 and
-h2 of the three twists -(C + nK); the normality profile is its defects and
-s_invariant).  The 27 line pairings of L = C + 3K are not among them: the
-obstruction module's line scan, their one reader, computes them.
+dimension, normality and census code reads, as plain integers (h0 and h1
+of the three twists -(C + nK) and h2(S, -L); the normality profile is its
+defects and s_invariant).  The 27 line pairings of L = C + 3K are not among
+them: the obstruction module's line scan, their one reader, computes them.
 """
 
 from __future__ import annotations
@@ -75,16 +75,15 @@ def abnormality(c: DivisorClass, n: int) -> int:
 class CurveFacts(NamedTuple):
     """What the paper's criteria read off a smooth-member class C, with L = C + 3K.
 
-    For n = 1, 2, 3, h0s[n-1] = h0(-(C + nK)), h2s[n-1] = h2(-(C + nK)) =
-    h0(C + (n+1)K) and defects[n-1] = h1(-(C + nK)), the n-normality defect
-    (defects[2] = h1(S, -L)); h2 = h2s[2] = h2(S, -L) = h0(S, C + 4K).
+    For n = 1, 2, 3, h0s[n-1] = h0(-(C + nK)) and defects[n-1] = h1(-(C + nK)),
+    the n-normality defect (defects[2] = h1(S, -L)); h2 = h2(S, -L) = h0(S, C + 4K).
+    The other twists' h2 = h0(C + (n+1)K) is fixed by h1 = h0 + h2 - chi.
     """
 
     standard: DivisorClass
     d: int
     g: int
     h0s: tuple[int, int, int]
-    h2s: tuple[int, int, int]
     defects: tuple[int, int, int]
     h2: int
 
@@ -121,17 +120,16 @@ def _standard_facts(std: DivisorClass, d: int, g: int) -> CurveFacts:
         raise InvariantViolation(f"genus {g} outside [0, {hodge_genus_bound(d)}] for {std}")
     a = std.a
     b1, b2, b3, b4, b5, b6 = std.b
-    h0s, h1s, h2s = [], [], []
+    h0s, h1s, h2 = [], [], 0
     for n in (1, 2, 3):
         m = n + 1
         h0 = 0 if d > 3 * n else h0_ab(3 * n - a, (n - b1, n - b2, n - b3, n - b4, n - b5, n - b6))
-        h2 = h0_ab(a - 3 * m, (b1 - m, b2 - m, b3 - m, b4 - m, b5 - m, b6 - m))
+        prev, h2 = h2, h0_ab(a - 3 * m, (b1 - m, b2 - m, b3 - m, b4 - m, b5 - m, b6 - m))
         h1 = h0 + h2 - (g - n * d + 3 * n * m // 2)
         if h1 < 0:
             raise InvariantViolation(f"negative h1 for {-(std + n * K)}")
-        if not h1 and any(h1s) and 2 * g - 2 + d - 2 * n * d + 3 * n * n > 0 and h2s[-1] > 0:
+        if not h1 and any(h1s) and 2 * g - 2 + d - 2 * n * d + 3 * n * n > 0 and prev > 0:
             raise InvariantViolation(f"{std} is {n}-normal but not m-normal for some m < {n}")
         h0s.append(h0)
         h1s.append(h1)
-        h2s.append(h2)
-    return CurveFacts(std, d, g, tuple(h0s), tuple(h2s), tuple(h1s), h2)
+    return CurveFacts(std, d, g, tuple(h0s), tuple(h1s), h2)

@@ -5,7 +5,8 @@ the surface: h1(S,-L) is the cubic-normality defect of C and h2(S,-L) =
 h0(S, C+4K) is the part of the normal-bundle H^1 coming from the surface.
 When both are nonzero, a line pairing negatively with L can certify that
 the Hilbert scheme is singular at [C]: multiplicity 1 always does, and
-multiplicity 2 or 3 does when an explicit restriction map is surjective.
+multiplicity 2 or 3 does when an explicit restriction map is surjective;
+one such line suffices, so verdict_of stops the scan (_witnesses) there.
 
 classify, hilbert_dim and kleppe_verdict each build the class's CurveFacts
 once and read it through verdict_of, dim_of and kleppe_of; the census calls
@@ -17,6 +18,7 @@ dimension h0(N) = 4d + h2(S,-L), off h0(N) and the two verdicts.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .cohomology import h0_ab
@@ -55,7 +57,6 @@ class ObstructionVerdict(NamedTuple):
     m: int | None = None
     rule: str | None = None  # "m=1" | "rho-surjective"
     reason: str | None = None
-    witnesses: tuple[tuple[DivisorClass, int, str], ...] = ()
 
 
 # The verdicts that carry no data of their own are shared, not rebuilt per class.
@@ -71,21 +72,17 @@ _UNDETERMINED = ObstructionVerdict(
 def classify(c: DivisorClass) -> ObstructionVerdict:
     """Unobstructed / Obstructed / Undetermined at [C] in the Hilbert scheme.
 
-    Scans the 27 lines in enumeration order; the first line that certifies
-    an obstruction is reported as the witness, all of them are kept as
-    diagnostics.  A line with m = -L.E in {2,3} certifies only when the
-    restriction of Delta = L + K - 2mE to E is surjective; if no line
-    certifies, the verdict is Undetermined (never guessed).
+    Scans the 27 lines in enumeration order and stops at the first that
+    certifies an obstruction, the witness.  A line with m = -L.E in {2,3}
+    certifies only when the restriction of Delta = L + K - 2mE to E is
+    surjective; if no line certifies, the verdict is Undetermined (never guessed).
     """
     return verdict_of(curve_facts(c))
 
 
-def verdict_of(facts: CurveFacts) -> ObstructionVerdict:
-    """The classify verdict of the class behind facts."""
-    if facts.defects[2] == 0:
-        return _UNOBSTRUCTED_H1_H2 if facts.h2 == 0 else _UNOBSTRUCTED_H1
-    if facts.h2 == 0:
-        return _UNOBSTRUCTED_H2
+def _witnesses(facts: CurveFacts) -> Iterator[tuple[DivisorClass, int, str]]:
+    """Each (line, m, rule) certifying an obstruction, in lines27() order, for facts
+    with h1(-L), h2(-L) > 0; the nef-L and m <= 3 checks come before the first yield."""
     # (a; b) = L + K = C + 4K, and Delta = L + K - 2mE below.  As L.E = -m and K.E = E.E = -1,
     # Delta.E = (L + K).E - 2m E.E = -m - 1 + 2m = m - 1, so the restriction's target is m.
     a, b = facts.standard.a - 12, [x - 4 for x in facts.standard.b]
@@ -94,19 +91,23 @@ def verdict_of(facts: CurveFacts) -> ObstructionVerdict:
     negative = [(e, -p) for e, p in zip(lines27(), line_pairings(a + 3, [x + 1 for x in b])) if p < 0]
     if not negative:
         raise InvariantViolation(f"L = C+3K is nef while h1(-L) and h2(-L) are nonzero for {facts.standard}")
-    witnesses: list[tuple[DivisorClass, int, str]] = []
+    if over := [m for _, m in negative if m > 3]:
+        raise InvariantViolation(f"fixed multiplicity {over[0]} > 3 for smooth member {facts.standard}")
     for e, m in negative:
-        if m > 3:
-            raise InvariantViolation(f"fixed multiplicity {m} > 3 for smooth member {facts.standard}")
         if m == 1:
-            witnesses.append((e, m, "m=1"))
+            yield e, m, "m=1"
         elif _restriction_onto(a - 2 * m * e.a, tuple([x - 2 * m * y for x, y in zip(b, e.b)]), e.a, e.b, m):
-            witnesses.append((e, m, "rho-surjective"))
-    if witnesses:
-        e, m, rule = witnesses[0]
-        return ObstructionVerdict(
-            kind="Obstructed", witness_line=e, m=m, rule=rule, witnesses=tuple(witnesses)
-        )
+            yield e, m, "rho-surjective"
+
+
+def verdict_of(facts: CurveFacts) -> ObstructionVerdict:
+    """The classify verdict of the class behind facts."""
+    if facts.defects[2] == 0:
+        return _UNOBSTRUCTED_H1_H2 if facts.h2 == 0 else _UNOBSTRUCTED_H1
+    if facts.h2 == 0:
+        return _UNOBSTRUCTED_H2
+    for e, m, rule in _witnesses(facts):
+        return ObstructionVerdict(kind="Obstructed", witness_line=e, m=m, rule=rule)
     return _UNDETERMINED
 
 

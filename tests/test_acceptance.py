@@ -46,7 +46,6 @@ from cubiccurves.obstruction import (
     hilbert_dim,
     kleppe_verdict,
     restriction_surjective,
-    verdict_of,
 )
 from cubiccurves.oracle import h0_interpolation
 from cubiccurves.verify import run_checks
@@ -236,8 +235,9 @@ def _twists(records) -> list[DivisorClass]:
 
 
 def _restriction_classes(records) -> list[DivisorClass]:
-    """Delta = C+4K-2mE and Delta-E for each line E that verdict_of tests by
-    restriction on the records, as obstruction.h0_ab reads them."""
+    """Delta = C+4K-2mE and Delta-E for each line E that the full line scan
+    (every witness, as classify's CLI output lists them) tests by restriction
+    on the records, as obstruction.h0_ab reads them."""
     out = []
 
     def recorded(a, b):
@@ -247,7 +247,8 @@ def _restriction_classes(records) -> list[DivisorClass]:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(obstruction, "h0_ab", recorded)
         for r in records:
-            verdict_of(curve_facts(r.cls))
+            if r.h1_ic3 and r.h2:
+                list(obstruction._witnesses(curve_facts(r.cls)))
     return out
 
 
@@ -312,13 +313,13 @@ def test_census_records_rebuilt_from_oracle_h0():
     # Kleppe verdicts, not only the numbers; no class is past A_MAX
     (records, summary), reads = _census_from_oracle(26)
     assert (records, summary) == census_range(10, 26, 0, hodge_genus_bound(26))
-    assert len(records) == 3242 and reads == 12018
+    assert len(records) == 3242 and reads == 10922
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
     "d_max, n_records, n_reads",
-    [(30, 6528, 27064), (40, 28587, 130979)],
+    [(30, 6528, 23072), (40, 28587, 104527)],
     ids=["d10_30", "d10_40"],
 )
 def test_census_records_rebuilt_from_oracle_h0_slow(d_max, n_records, n_reads):

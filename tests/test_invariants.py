@@ -52,6 +52,14 @@ CASES = {
         ["classify", "12;4,4,4,4,2,2"],
         "fixed multiplicity 4 > 3",
     ),
+    # a later line at m = 4 behind a first line at m = 1, which certifies:
+    # the scan stops at its first witness but checks m <= 3 on every line
+    # (hilbert-dim reads only the verdict; classify also lists every witness)
+    "multiplicity-above-3-after-a-witness": (
+        "importlib.import_module('cubiccurves.obstruction').line_pairings = lambda a, b: (-1, -4) + (0,) * 25",
+        ["hilbert-dim", "12;4,4,4,4,2,2"],
+        "fixed multiplicity 4 > 3",
+    ),
     # h2 = h0(C + 4K) read one too high on obstruction's facts makes h0(N)
     # of (16, 29) 66, which breaks Riemann-Roch h0(N) = d + g + 18 +
     # h1(I_C(3)) = 65 inside verify-paper

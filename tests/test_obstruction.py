@@ -7,6 +7,7 @@ from cubiccurves.curve import curve_facts, invariants
 from cubiccurves.errors import DegreeTooSmall, DprimeNotNef, InvalidK, NotALine
 from cubiccurves.lattice import DivisorClass, K, lines27
 from cubiccurves.obstruction import (
+    _witnesses,
     classify,
     gen_obstructed,
     h0_normal,
@@ -36,7 +37,7 @@ def test_classify_obstructed_kleppe():
     assert v.kind == "Obstructed"
     assert v.witness_line == D(0, 0, 0, 0, 0, -1, 0)
     assert (v.m, v.rule) == (1, "m=1")
-    assert len(v.witnesses) == 2
+    assert len(list(_witnesses(curve_facts(D16G29)))) == 2
 
 
 def test_classify_unobstructed():
@@ -220,6 +221,7 @@ def test_restriction_target_is_m_on_census_d10_30():
     for r in records:
         if r.h1_ic3 == 0 or r.h2 == 0:
             continue
+        witnesses = set(_witnesses(curve_facts(r.cls)))
         adj = r.cls + 3 * K
         for e in lines27():
             m = -adj.dot(e)
@@ -227,7 +229,7 @@ def test_restriction_target_is_m_on_census_d10_30():
                 continue
             delta = adj + K - 2 * m * e
             assert delta.dot(e) == m - 1, (str(r.cls), str(e))
-            assert restriction_surjective(delta, e) == ((e, m, "rho-surjective") in r.verdict.witnesses), (
+            assert restriction_surjective(delta, e) == ((e, m, "rho-surjective") in witnesses), (
                 str(r.cls), str(e))
             tests += 1
     assert tests == 3740

@@ -24,8 +24,8 @@ from cubiccurves.oracle import PointConfig, point_config
 from cubiccurves.verify import CheckResult
 
 FIELDS = {
-    CurveFacts: ("standard", "d", "g", "h0s", "h2s", "defects", "h2"),
-    ObstructionVerdict: ("kind", "vanishing", "witness_line", "m", "rule", "reason", "witnesses"),
+    CurveFacts: ("standard", "d", "g", "h0s", "defects", "h2"),
+    ObstructionVerdict: ("kind", "vanishing", "witness_line", "m", "rule", "reason"),
     HilbertDimResult: ("kind", "method", "value", "lo", "hi"),
     KleppeVerdict: ("kind", "failed_hypothesis", "dim", "range_tag"),
     CensusRecord: ("cls", "d", "g", "h1_ic3", "h2", "normality", "verdict", "dim", "kleppe", "dim_w"),
