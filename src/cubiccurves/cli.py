@@ -350,7 +350,7 @@ def _verify_paper(args) -> tuple[str, int]:
 
 
 def _build_parser() -> _Parser:
-    p = _Parser(prog="cubiccurves", description=__doc__.strip().splitlines()[0])
+    p = _Parser(prog="cubiccurves", description="Command-line front end.")
     sub = p.add_subparsers(parser_class=_Parser)
 
     common = _Parser(add_help=False)

@@ -10,10 +10,11 @@ so (a;b).(a';b') = a*a' - sum(bi*bi').  The canonical class is
 K = (-3;-1,...,-1) with K.K = 3 and K.D = -3a + sum(bi).
 
 Everything here is immutable plain-integer data, safe to share across
-threads.  The 27 line classes and 27 conic classes are enumerated in a fixed
-order (used for byte-reproducible reports): the six ei, the fifteen l-ei-ej
-with i<j ascending, the six 2l - sum_{j != i} ej with i ascending, and the
-analogous order for conics.
+threads.  The 27 line classes are enumerated in a fixed order (used for
+byte-reproducible reports): the six ei, the fifteen l-ei-ej with i<j
+ascending, and the six 2l - sum_{j != i} ej with i ascending.  The 27 conic
+classes are their residuals -K - l: conic k is -K - line(21+k), conic 6+k is
+-K - line(20-k) and conic 21+k is -K - line(k).
 """
 
 from __future__ import annotations
@@ -151,18 +152,10 @@ def line_pairings(a: int, b: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=1)
 def conics27() -> tuple[DivisorClass, ...]:
-    """The 27 conic classes (q.q = 0, K.q = -2); -K-q is always a line."""
-    out = [DivisorClass(1, _unit(i, 1)) for i in range(6)]
-    for quad in itertools.combinations(range(6), 4):
-        b = [0] * 6
-        for i in quad:
-            b[i] = 1
-        out.append(DivisorClass(2, tuple(b)))
-    for i in range(6):
-        b = [1] * 6
-        b[i] = 2
-        out.append(DivisorClass(3, tuple(b)))
-    return tuple(out)
+    """The 27 conic classes (q.q = 0, K.q = -2): the residuals -K - l of the
+    27 lines, l - ei, then 2l minus four ej, then 3l - sum(ej) - ei."""
+    ls = lines27()
+    return tuple([-K - l for l in ls[21:] + ls[20:5:-1] + ls[:6]])
 
 
 # ---------------------------------------------------------------------------

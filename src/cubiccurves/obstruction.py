@@ -12,7 +12,8 @@ classify, hilbert_dim and kleppe_verdict each build the class's CurveFacts
 once and read it through verdict_of, dim_of and kleppe_of; the census calls
 those readers directly on one CurveFacts per record.  dim_of decides no rule
 of its own: it reads the dimension, between chi(N) = 4d and the tangent
-dimension h0(N) = 4d + h2(S,-L), off h0(N) and the two verdicts.
+dimension h0(N) = 4d + h2(S,-L), off h2 and the two verdicts; that h0(N) is
+d+g+18 + h1(I_C(3)) is the Riemann-Roch count CurveFacts is built from.
 """
 
 from __future__ import annotations
@@ -111,21 +112,10 @@ def verdict_of(facts: CurveFacts) -> ObstructionVerdict:
     return _UNDETERMINED
 
 
-def _h0_normal(facts: CurveFacts) -> int:
-    """h0(N) = 4d + h2 of the class behind facts.  For d > 9, h0(-L) = 0 and
-    Riemann-Roch gives h2 - h1(-L) = chi(-L) = g - 3d + 18, which is checked."""
-    d = facts.d
-    val = 4 * d + facts.h2
-    if d > 9:
-        rr = d + facts.g + 18 + facts.defects[2]
-        if val != rr:
-            raise InvariantViolation(f"h0(N) = {val} but d+g+18+h1(I_C(3)) = {rr} for {facts.standard}")
-    return val
-
-
 def h0_normal(c: DivisorClass) -> int:
     """h0 of the normal bundle, 4d + h0(S, C + 4K), off one curve_facts pass."""
-    return _h0_normal(curve_facts(c))
+    f = curve_facts(c)
+    return 4 * f.d + f.h2
 
 
 class HilbertDimResult(NamedTuple):
@@ -156,8 +146,9 @@ def dim_of(facts: CurveFacts, verdict: ObstructionVerdict, kleppe: KleppeVerdict
 
     Every caller passes verdict_of(facts) and kleppe_of(facts), for which
     the bounds below hold by arithmetic, so none is checked again here.
-    _h0_normal has checked (*) n = 4d + h2 = d+g+18 + h1(I_C(3)), where
-    h2 >= 0 is an h0 and _standard_facts has checked h1(I_C(3)) >= 0.
+    (*) n = 4d + h2 = d+g+18 + h1(I_C(3)) is _standard_facts' arithmetic:
+    for d > 9 it sets h0(-L) = 0 and h1(I_C(3)) = h2 - (g - 3d + 18), with
+    h2 >= 0 an h0 and h1(I_C(3)) >= 0 checked there.
     - Obstructed and Undetermined need h1(I_C(3)) >= 1 and h2 >= 1 (else
       verdict_of says Unobstructed), so d+g+18 <= n - 1 by (*).
     - Each exact value is >= 4d: smooth-point is n = 4d + h2; theorem-1.1 is
@@ -171,7 +162,7 @@ def dim_of(facts: CurveFacts, verdict: ObstructionVerdict, kleppe: KleppeVerdict
     d = facts.d
     if d <= 9:
         raise DegreeTooSmall(f"dimension rules require degree > 9, got d={d}")
-    n = _h0_normal(facts)
+    n = 4 * d + facts.h2
     if verdict.kind == "Unobstructed":
         return HilbertDimResult("exact", "smooth-point", n)
     if verdict.kind == "Undetermined":

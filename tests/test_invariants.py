@@ -60,24 +60,6 @@ CASES = {
         ["hilbert-dim", "12;4,4,4,4,2,2"],
         "fixed multiplicity 4 > 3",
     ),
-    # h2 = h0(C + 4K) read one too high on obstruction's facts makes h0(N)
-    # of (16, 29) 66, which breaks Riemann-Roch h0(N) = d + g + 18 +
-    # h1(I_C(3)) = 65 inside verify-paper
-    "normal-bundle-riemann-roch": (
-        "ob = importlib.import_module('cubiccurves.obstruction'); facts = ob.curve_facts;"
-        " ob.curve_facts = lambda c: (f := facts(c))._replace(h2=f.h2 + 1)",
-        ["verify-paper"],
-        "h0(N) = ",
-    ),
-    # the same identity on the census record path: with h2 read one too high
-    # on census facts, the (10, 0) record would read an interval [39, 40],
-    # which starts below 4d = 40
-    "census-normal-bundle-riemann-roch": (
-        "ce = importlib.import_module('cubiccurves.census'); facts = ce._standard_facts;"
-        " ce._standard_facts = lambda *a: (f := facts(*a))._replace(h2=f.h2 + 1)",
-        ["census", "--d-min", "10", "--d-max", "10", "--g-min", "0", "--g-max", "0"],
-        "h0(N) = 41 but d+g+18+h1(I_C(3)) = 40",
-    ),
     # every line read as -K, which the generated class meets in d, not k
     "generator-meets-e6-in-k": (
         "ob = importlib.import_module('cubiccurves.obstruction'); ob.lines27 = lambda: (-ob.K,) * 27",

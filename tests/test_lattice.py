@@ -113,6 +113,23 @@ def test_conics27_residuals():
         assert (-K - q) in lines27()
 
 
+def test_conics27_order_is_the_line_order_through_minus_k():
+    qs, ls = conics27(), lines27()
+    # 2l - sum_{j != i} ej -> l - ei, l - ei - ej -> 2l minus the other four
+    # (complements of pairs run in reverse), ei -> 3l - sum(ej) - ei
+    assert qs[0] == D(1, 1, 0, 0, 0, 0, 0)
+    assert qs[5] == D(1, 0, 0, 0, 0, 0, 1)
+    assert qs[6] == D(2, 1, 1, 1, 1, 0, 0)
+    assert qs[20] == D(2, 0, 0, 1, 1, 1, 1)
+    assert qs[21] == D(3, 2, 1, 1, 1, 1, 1)
+    assert qs[26] == D(3, 1, 1, 1, 1, 1, 2)
+    for k in range(6):
+        assert qs[k] == -K - ls[21 + k]
+        assert qs[21 + k] == -K - ls[k]
+    for k in range(15):
+        assert qs[6 + k] == -K - ls[20 - k]
+
+
 def test_line_pair_intersections():
     ls = lines27()
     for i, a in enumerate(ls):

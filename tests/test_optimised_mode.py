@@ -1,11 +1,13 @@
-"""python -O prints the same bytes as python.
+"""python -O and python -OO print the same bytes as python.
 
 The engine's invariants and the oracle's degeneracy checks are checks that
-raise, not asserts, so they must hold in every interpreter mode.  Each case
-runs one CLI command under plain python and under python -O, the two side by
-side, and compares their stdout; both must exit 0 with nothing on stderr.
-The -O fault cases, which forge a value so that a check must fire, are in
-test_invariants.py.
+raise, not asserts, so they must hold in every interpreter mode, and no
+program text is read off a docstring, which -OO strips.  Each case runs one
+CLI command under plain python and under python -O or -OO, side by side, and
+compares their stdout; each must exit 0 with nothing on stderr.  The -O fault
+cases, which forge a value so that a check must fire, are in
+test_invariants.py; test_source_guards.py rejects the constructs that the
+two modes change.
 """
 
 import itertools
@@ -69,6 +71,22 @@ def _same_under_O(argv: list[str], stdin: str = "") -> str:
 )
 def test_command_prints_the_same_bytes_under_O(argv):
     assert _same_under_O(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "12;4,4,4,4,2,2"],
+        ["classify", "12;4,4,4,4,2,2", "--format", "json"],
+        [*CENSUS_16, "--format", "csv", "--threads", "2"],
+        ["verify-paper", "--format", "csv"],
+    ],
+    ids=lambda argv: "-".join(argv),
+)
+def test_command_prints_the_same_bytes_under_OO(argv):
+    # -OO also strips docstrings, so the parser's description must not come from one
+    plain, stripped = _outputs(((), argv), (("-OO",), argv))
+    assert plain and plain == stripped
 
 
 def test_census_d10_30_csv_serial_and_forked_under_O():
