@@ -23,9 +23,9 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .cohomology import h0_ab
-from .curve import CurveFacts, curve_facts
+from .curve import CurveFacts, _standard_facts, curve_facts, invariants
 from .errors import DegreeTooSmall, DprimeNotNef, InvalidK, InvariantViolation, NotALine
-from .lattice import K, DivisorClass, line_pairings, lines27
+from .lattice import K, DivisorClass, is_standard, line_pairings, lines27
 
 
 def _restriction_onto(da: int, db: tuple[int, ...], ea: int, eb: tuple[int, ...], target: int) -> bool:
@@ -230,27 +230,24 @@ def gen_obstructed(k: int, dprime: tuple[int, int, int, int, int, int] = (0, 0, 
     """An obstructed class (14-k+a; b1+4,...,b5+4, k) from k in 0..2 and a
     nef seed (a; b1..b5) on the blow-down along e6.
 
-    The seed must satisfy a >= b1+b2+b3 and b1 >= ... >= b5 >= 0; the result
-    meets e6 in k and always classifies as Obstructed.
+    The seed (a; b1..b5, 0) must be standard; the result is built standard,
+    meets e6 in b6 = k by construction and always classifies as Obstructed.
     """
     return _generated(k, dprime)[0].standard
 
 
 def _generated(k: int, dprime: tuple[int, ...]) -> tuple[CurveFacts, ObstructionVerdict]:
-    """gen_obstructed's facts and verdict, off one pass (its class is standard)."""
+    """gen_obstructed's facts and verdict, off one pass; _standard_facts checks the built class."""
     if not 0 <= k <= 2:
         raise InvalidK(f"k must be 0, 1 or 2, got {k}")
     # operator.index, not int: a float or a digit string is a TypeError, not truncated
     a, *b = map(operator.index, dprime)
     if len(b) != 5:
         raise DprimeNotNef(f"seed needs six entries (a;b1..b5), got {dprime}")
-    if not all(b[i] >= b[i + 1] for i in range(4)) or b[4] < 0 or a < b[0] + b[1] + b[2]:
+    if not is_standard(DivisorClass(a, (*b, 0))):
         raise DprimeNotNef(f"seed ({a};{','.join(map(str, b))}) fails b1>=...>=b5>=0, a>=b1+b2+b3")
     out = DivisorClass(14 - k + a, tuple(x + 4 for x in b) + (k,))
-    e6 = lines27()[5]
-    if out.dot(e6) != k:
-        raise InvariantViolation(f"{out} meets e6 in {out.dot(e6)}, not k = {k}")
-    facts = curve_facts(out)
+    facts = _standard_facts(out, *invariants(out))
     verdict = verdict_of(facts)
     if verdict.kind != "Obstructed":
         raise InvariantViolation(f"generated class {out} classifies as {verdict.kind}, not Obstructed")

@@ -56,10 +56,7 @@ from typing import NamedTuple
 from .errors import DegeneratePoints, OracleTooLarge, PreconditionError
 from .lattice import DivisorClass
 
-try:  # optional: speeds exact_rank, the exact reference the tests check the oracle with
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover
-    mpz = int
+mpz = int  # read by the benchmark's environment line; exact_rank runs on Python ints
 
 # grid height, well under the 10^4 cap; keeps minors small, and each 3x3
 # determinant of points at most 98^2 < P in absolute value, so no three
@@ -72,9 +69,9 @@ A_MAX = 33  # largest clamped a the oracle takes on, and the only size rule
 
 def exact_rank(rows) -> int:
     """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    rows = [[mpz(x) for x in row] for row in rows if any(row)]
+    rows = [[int(x) for x in row] for row in rows if any(row)]
     rank = 0
-    prev = mpz(1)
+    prev = 1
     while rows and rows[0]:
         piv_idx = next((i for i, r in enumerate(rows) if r[0]), None)
         if piv_idx is None:

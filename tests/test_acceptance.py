@@ -37,6 +37,7 @@ from cubiccurves.lattice import (
     apply_word,
     conics27,
     degree,
+    is_standard,
     lines27,
 )
 from cubiccurves.obstruction import (
@@ -194,6 +195,10 @@ def test_criterion_06_obstructed_grid(capfd):
         for s in seeds:
             c = gen_obstructed(k, s)
             n += 1
+            a, *b = s
+            built = D(14 - k + a, *(x + 4 for x in b), k)
+            if c != built or not is_standard(c) or c.dot(lines27()[5]) != k:
+                bad.append(f"k={k} seed={s}: {c} is not the standard {built} meeting e6 in k")
             v = classify(c)
             if v.kind != "Obstructed":
                 bad.append(f"k={k} seed={s}: {v.kind}")

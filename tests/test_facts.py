@@ -146,11 +146,26 @@ def test_standard_facts_checks_its_class_and_genus():
 def test_gen_obstructed_builds_its_facts_once(capsys, monkeypatch):
     # the generator's Obstructed check and the CLI payload read one facts pass
     calls = []
-    facts = curve._standard_facts
-    monkeypatch.setattr(curve, "_standard_facts", lambda *a: calls.append(a) or facts(*a))
+    facts = obstruction._standard_facts
+    monkeypatch.setattr(obstruction, "_standard_facts", lambda *a: calls.append(a) or facts(*a))
     assert run(["gen-obstructed", "--k", "1"]) == 0
     assert "Obstructed" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k", ["0", "1", "2"])
+def test_gen_obstructed_builds_its_class_standard(k, capsys, monkeypatch):
+    # the generated class is standard by construction, so nothing reduces it
+    argv = ["gen-obstructed", "--k", k, "--format", "json"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+
+    def reduce_to_standard(c):
+        raise AssertionError(f"gen-obstructed reduced {c}")
+
+    monkeypatch.setattr(curve, "reduce_to_standard", reduce_to_standard)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_negative_degree_twist_shortcut_is_strict():

@@ -60,12 +60,6 @@ CASES = {
         ["hilbert-dim", "12;4,4,4,4,2,2"],
         "fixed multiplicity 4 > 3",
     ),
-    # every line read as -K, which the generated class meets in d, not k
-    "generator-meets-e6-in-k": (
-        "ob = importlib.import_module('cubiccurves.obstruction'); ob.lines27 = lambda: (-ob.K,) * 27",
-        ["gen-obstructed", "--k", "0"],
-        "meets e6 in",
-    ),
     # an enumerated class is checked, not reduced: one that is not standard
     # (a W(E6)-moved copy of the (10, 5) family (5; 2,1,1,1,0,0)) must be
     # rejected on the census record path

@@ -6,9 +6,12 @@
 - CurveFacts is built only in curve._standard_facts, the one constructor that
   checks what it builds; obstruction.dim_of and h0_normal read h0(N) = 4d + h2
   off it without checking it again, which is sound only while that holds.
+- Every absolute import names a standard-library module, so the package
+  runs on the standard library alone, as README promises.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,6 +59,17 @@ def _curve_facts_builds(tree: ast.AST) -> list[tuple[str | None, int]]:
     return found
 
 
+def _absolute_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, top-level module name) of each absolute import in tree; relative ones are the package."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append((node.lineno, node.module.split(".")[0]))
+    return found
+
+
 def _parse(path: Path) -> ast.AST:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -67,9 +81,12 @@ def test_the_guards_see_what_they_look_for():
         "    if __debug__:\n"
         "        return __doc__.strip(), f.__doc__\n"
         "    return CurveFacts(x), curve.CurveFacts._make(x)\n"
+        "import gmpy2, os.path\n"
+        "from .x import y\n"
     )
     assert _mode_sensitive(tree) == ["2: assert", "3: __debug__", "4: __doc__ read", "4: __doc__ read"]
     assert _curve_facts_builds(tree) == [("f", 5), ("f", 5)]
+    assert _absolute_imports(tree) == [(6, "gmpy2"), (6, "os")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -82,3 +99,9 @@ def test_curve_facts_is_built_only_in_standard_facts():
     outside = {name: calls for name, calls in builds.items() if calls and name != "curve.py"}
     assert outside == {}
     assert [func for func, _ in builds["curve.py"]] == ["_standard_facts"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    outside = [(line, name) for line, name in _absolute_imports(_parse(path)) if name not in sys.stdlib_module_names]
+    assert outside == []
