@@ -27,7 +27,7 @@ _EXPORTS = {
         " degree is_standard lines27 reduce_to_standard",
         "obstruction": "HilbertDimResult KleppeVerdict ObstructionVerdict classify gen_obstructed"
         " h0_normal hilbert_dim kleppe_verdict restriction_surjective",
-        "oracle": "PointConfig exact_rank h0_interpolation modular_rank point_config",
+        "oracle": "PointConfig exact_rank h0_interpolation point_config",
     }.items()
     for name in names.split()
 }

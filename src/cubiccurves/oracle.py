@@ -35,10 +35,13 @@ special points can only drop, so
     rank mod P  <=  rank over Q at the points  <=  generic rank,
     h0 mod P    >=  h0 at the points           >=  generic h0.
 
-The oracle reruns with two further seeds and keeps the minimum section
-count.  An engine value that is too low is therefore always caught; one
-that is too high gets through only if, at each of the three seeds, the
-points are special or P divides the relevant minor (about 2^-31 a seed).
+The oracle reruns with up to two further seeds and keeps the minimum
+section count.  No rank exceeds min(sum mi(mi+1)/2, (a+1)(a+2)/2), the
+condition matrix's rows and columns, so a seed that reaches that bound
+gives the generic h0 exactly and ends the reruns.  An engine value that is
+too low is therefore always caught; one that is too high gets through only
+if, at each of the three seeds, the points are special or P divides the
+relevant minor (about 2^-31 a seed).
 
 Points are drawn from a small integer grid, checked exactly for degeneracy
 (no three collinear; no conic through all six, by the bracket identity in
@@ -164,13 +167,6 @@ def _eliminate(packed: list[int], cols: int, nbytes: int, pivots: list) -> int:
             rank += 1
         packed = [(r >> width) + (r & mask) % P * pivot for r in packed]
     return rank
-
-
-def modular_rank(rows) -> int:
-    """Rank over Z/P of an integer matrix, by packed-row elimination (_eliminate)."""
-    cols = len(rows[0]) if rows else 0
-    nbytes = _slot_bytes(min(len(rows), cols))
-    return _eliminate([_pack([x % P for x in row], nbytes) for row in rows], cols, nbytes, [None] * cols)
 
 
 class PointConfig(NamedTuple):
@@ -310,18 +306,30 @@ def condition_rank(frame, cfg: PointConfig) -> int:
 
 @lru_cache(maxsize=100_000)
 def _h0_at(d: DivisorClass, seed: int) -> int:
-    """h0 of a class whose bi are clamped to >= 0, minimized over seeds seed..seed + 2, which share one _frame."""
+    """h0 of a class whose bi are clamped to >= 0, minimized over seeds seed..seed + 2, which share one _frame.
+
+    The condition matrix has sum bi(bi+1)/2 rows and (a+1)(a+2)/2 columns,
+    so no seed's rank exceeds the smaller; the first seed to reach it
+    settles the minimum, and the later seeds are not run.
+    """
     frame = _frame(d.a, d.b)
-    ranks = [condition_rank(frame, point_config(s)) for s in (seed, seed + 1, seed + 2)]
-    return (d.a + 1) * (d.a + 2) // 2 - max(ranks)
+    monomials = (d.a + 1) * (d.a + 2) // 2
+    top, rank = min(sum(m * (m + 1) // 2 for m in d.b), monomials), 0
+    for s in (seed, seed + 1, seed + 2):
+        rank = max(rank, condition_rank(frame, point_config(s)))
+        if rank == top:
+            break
+    return monomials - rank
 
 
 def h0_interpolation(d: DivisorClass, seed: int = 0) -> int:
-    """h0 of the class by interpolation mod P, minimized over seeds seed, seed + 1, seed + 2.
+    """h0 of the class by interpolation mod P, minimized over seeds seed, seed + 1
+    and seed + 2, or up to the first whose rank reaches its bound (_h0_at).
 
     OracleTooLarge when the clamped class has a > A_MAX.  No other bound is
-    needed: over every class with a <= A_MAX the work is largest at
-    (A_MAX; 13^6), p3's 91 rows on 322 monomials once and 182 per seed.
+    needed: over every class with a <= A_MAX the work of three seeds is
+    largest at (A_MAX; 13^6), p3's 91 rows on 322 monomials once and 182 per
+    seed.
     """
     if d.a < 0:
         return 0

@@ -12,7 +12,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from cubiccurves import census, cli
+from cubiccurves import census, cli, obstruction
 from cubiccurves.census import (
     CSV_COLUMNS,
     _standard_coefficients,
@@ -267,6 +267,38 @@ def test_csv_shape():
         ]
     ]
     assert text.endswith("\n") and "\r" not in text
+
+
+# the four vocabularies of a census row's non-integer cells: verdict kind,
+# rule, dim kind and Kleppe cell
+CENSUS_TOKENS = (
+    {"Unobstructed", "Obstructed", "Undetermined"},
+    {"", "m=1", "rho-surjective"},
+    {"exact", "interval"},
+    {"NotApplicable[d<=9]", "NotApplicable[g<3d-18]", "NotApplicable[not-linearly-normal]",
+     "NotApplicable[h1_ic3=0]", "ProvenTheorem1", "KnownRange[d18+]", "Open"},
+)
+
+
+def test_census_csv_template_needs_no_quoting():
+    # census_csv renders rows with one %-template, exact only while no cell
+    # needs quoting: every cell must read back through csv.reader as itself
+    g_max = hodge_genus_bound(30)
+    records = census_range(10, 30, 0, g_max)[0]
+    rows = [tuple(map(str, row)) for row in census.census_rows(records)]
+    assert len(rows) == 6528
+    # every Kleppe cell but ProvenTheorem1's is a shared verdict of obstruction.py
+    shared = {str(v) for v in vars(obstruction).values() if isinstance(v, KleppeVerdict)}
+    assert shared | {"ProvenTheorem1"} == CENSUS_TOKENS[3]
+    for token in set().union(*CENSUS_TOKENS):
+        assert not {",", '"', "\n", "\r"} & set(token), token
+    for text in (census_csv(records), census.census_window_csv(10, 30, 0, g_max, 2)):
+        parsed = list(csv.reader(io.StringIO(text)))
+        assert parsed[0] == CSV_COLUMNS.split(",")
+        assert [tuple(r) for r in parsed[1:]] == rows
+        for r in parsed[1:]:
+            assert all(cell.isdigit() for cell in r[:12] + r[15:17]), r
+            assert all(cell in vocab for cell, vocab in zip(r[12:15] + r[17:], CENSUS_TOKENS)), r
 
 
 # sha256 of `census --d-min 10 --d-max 16 --g-min 0 --g-max 105` in each

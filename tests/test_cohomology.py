@@ -177,3 +177,8 @@ def test_obstruction_space_of_the_even_family_is_2lam_plus_6(lam):
     assert z.nef_part == D(lam + 3, lam + 2, 1, 0, 0, 0, 0) and is_nef(z.nef_part)
     assert cohomology(z.nef_part) == (2 * lam + 6, 0, 0, 2 * lam + 6)
     assert euler_char(z.nef_part) == h0(c + 4 * K) == 2 * lam + 6
+    # the source's 2*lam+5 is chi of C + 4K less e3..e6 alone: that class
+    # still meets l-e1-e2 in -2, and h0 = 2*lam+6 leaves h1 = 1
+    part = c + 4 * K - 2 * (e3 + e4 + e5 + e6)
+    assert part == D(lam + 5, lam + 4, 3, 0, 0, 0, 0) and part.dot(D(1, 1, 1, 0, 0, 0, 0)) == -2
+    assert cohomology(part) == (2 * lam + 6, 1, 0, 2 * lam + 5)

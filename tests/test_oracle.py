@@ -27,7 +27,6 @@ from cubiccurves.oracle import (
     condition_rank,
     exact_rank,
     h0_interpolation,
-    modular_rank,
     point_config,
 )
 
@@ -74,6 +73,14 @@ def ref_point_config(seed: int):
         if len(set(pts)) == 6 and ref_degeneracy(pts) is None:
             return pts
     return None
+
+
+def modular_rank(rows) -> int:
+    """Rank over Z/P of an integer matrix, by the oracle's packed-row elimination (_eliminate)."""
+    cols = len(rows[0]) if rows else 0
+    nbytes = oracle._slot_bytes(min(len(rows), cols))
+    packed = [oracle._pack([x % P for x in row], nbytes) for row in rows]
+    return oracle._eliminate(packed, cols, nbytes, [None] * cols)
 
 
 def ref_modular_rank(rows) -> int:
@@ -537,7 +544,9 @@ def test_worst_case_elimination_is_a_max_thirteen_sixfold(monkeypatch):
     )
     assert (A_MAX, worst, work) == (33, (13, 13, 13), 23_511_670)
     # the kernel eliminates exactly the modelled shapes: p3's 91 rows on 322
-    # monomials once, of full rank, then 182 rows against its 91 pivots per seed
+    # monomials once, of full rank, then 182 rows against its 91 pivots at a
+    # seed; the first seed's rank, 546, is already the 6 * 91 rows' bound, so
+    # no second seed runs (the model above still counts three)
     shapes = []
     eliminate = oracle._eliminate
 
@@ -548,17 +557,24 @@ def test_worst_case_elimination_is_a_max_thirteen_sixfold(monkeypatch):
     monkeypatch.setattr(oracle, "_eliminate", spy)
     oracle._h0_at.cache_clear()
     assert h0_interpolation(D(A_MAX, *(13,) * 6)) == h0(D(A_MAX, *(13,) * 6)) == 49
-    assert shapes == [(91, 322, 0)] + [(182, 322, 91)] * 3
+    assert shapes == [(91, 322, 0), (182, 322, 91)]
 
 
 def test_h0_interpolation_builds_p3_rows_once_per_call(monkeypatch):
     # p3 sits at (1, 1) at every seed, so a call builds its rows once, and
-    # each of the three seeds builds only the two other lighter points' rows
+    # each seed it runs builds only the two other lighter points' rows
     built = []
     rows = oracle._rows
     monkeypatch.setattr(oracle, "_rows", lambda x, y, *args: built.append((x, y)) or rows(x, y, *args))
     oracle._h0_at.cache_clear()
-    assert h0_interpolation(D(12, 4, 4, 4, 4, 2, 2), 5) == 45
+    # 46 conditions on 91 monomials: the first seed's rank is 46, the most
+    # any seed can reach, so it is the only seed run
+    assert h0_interpolation(D(12, 4, 4, 4, 4, 2, 2), 5) == 45 == 91 - 46
+    assert built.count((1, 1)) == 1 and len(built) == 3
+    # 28 conditions on 28 monomials, but the class meets the line l-e1-e2 in
+    # -2, so the rank is 27 at every seed, below the bound: all three seeds run
+    built.clear()
+    assert h0_interpolation(D(6, 4, 4, 2, 2, 1, 1), 5) == 1 == h0(D(6, 4, 4, 2, 2, 1, 1))
     assert built.count((1, 1)) == 1 and len(built) == 7
 
 
