@@ -26,7 +26,7 @@ _EXPORTS = {
         "lattice": "Cremona DivisorClass K Perm StandardReduction apply_generator apply_word conics27"
         " degree is_standard lines27 reduce_to_standard",
         "obstruction": "HilbertDimResult KleppeVerdict ObstructionVerdict classify gen_obstructed"
-        " h0_normal hilbert_dim kleppe_verdict restriction_surjective",
+        " hilbert_dim kleppe_verdict restriction_surjective",
         "oracle": "PointConfig exact_rank h0_interpolation point_config",
     }.items()
     for name in names.split()

@@ -109,7 +109,7 @@ def _facts_head(cls: DivisorClass, facts) -> dict:
 def _cmd_reduce(cls: DivisorClass) -> dict:
     red = reduce_to_standard(cls)
     return {
-        "input": str(red.input),
+        "input": str(cls),
         "standard": str(red.standard),
         "word": _word_json(red.word),
     }
@@ -304,9 +304,9 @@ def _oracle_h0(args) -> tuple[str, int]:
 
 
 def _gen_obstructed(args) -> tuple[str, int]:
-    from .obstruction import _generated
+    from .obstruction import gen_obstructed
     a, b = parse_class_text(args.dprime, 5)
-    facts, verdict = _generated(args.k, (a, *b))
+    facts, verdict = gen_obstructed(args.k, (a, *b))
     payload = {
         "k": args.k,
         "dprime": args.dprime,

@@ -12,8 +12,9 @@ _standard_facts builds and checks every CurveFacts, for curve_facts and
 each census record alike: once per class, every number the obstruction,
 dimension, normality and census code reads, as plain integers (h0 and h1
 of the three twists -(C + nK) and h2(S, -L); the normality profile is its
-defects and s_invariant).  The 27 line pairings of L = C + 3K are not among
-them: the obstruction module's line scan, their one reader, computes them.
+defects and s_invariant, and h0(N) is its h0_normal).  The 27 line
+pairings of L = C + 3K are not among them: the obstruction module's line
+scan, their one reader, computes them.
 """
 
 from __future__ import annotations
@@ -68,7 +69,9 @@ def require_smooth_member(c: DivisorClass) -> DivisorClass:
 
 
 def abnormality(c: DivisorClass, n: int) -> int:
-    """n-normality defect h1(ideal sheaf twisted by n) = h1(S, -(C + nK))."""
+    """n-normality defect h1(ideal sheaf twisted by n) = h1(S, -(C + nK)).
+    Kept as the tests' route independent of curve_facts(c).defects, which every
+    command prints, and as a bench trace target: no command reads it."""
     return cohomology(-(c + n * K)).h1
 
 
@@ -91,6 +94,11 @@ class CurveFacts(NamedTuple):
     def s_invariant(self) -> int:
         """The least n with h0(I_C(n)) = h0s[n-1] > 0, at most 3: the cubic contains the curve."""
         return 1 if self.h0s[0] else 2 if self.h0s[1] else 3
+
+    @property
+    def h0_normal(self) -> int:
+        """h0 of the normal bundle in P^3, 4d + h0(S, C + 4K): the Hilbert scheme's tangent dimension at [C]."""
+        return 4 * self.d + self.h2
 
 
 def curve_facts(c: DivisorClass) -> CurveFacts:

@@ -233,7 +233,6 @@ _CREMONA_123 = Cremona(1, 2, 3)
 
 
 class StandardReduction(NamedTuple):
-    input: DivisorClass
     standard: DivisorClass
     word: WeylWord
 
@@ -245,7 +244,7 @@ def reduce_to_standard(d: DivisorClass) -> StandardReduction:
     (1,2,3).  Each Cremona strictly decreases a (it only fires when
     a < b1+b2+b3), and W(E6) is finite, so the loop halts.  The moves run
     on the plain coefficients (what apply_generator does, without building a
-    class per step).  The returned word replays input -> standard.
+    class per step).  The returned word replays d -> standard.
     """
     word: list[WeylGenerator] = []
     a, b = d.a, d.b
@@ -261,4 +260,4 @@ def reduce_to_standard(d: DivisorClass) -> StandardReduction:
         a += t
         b = (b[0] + t, b[1] + t, b[2] + t, b[3], b[4], b[5])
     standard = DivisorClass(a, b) if word else d
-    return StandardReduction(input=d, standard=standard, word=tuple(word))
+    return StandardReduction(standard, tuple(word))

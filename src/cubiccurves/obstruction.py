@@ -12,8 +12,9 @@ classify, hilbert_dim and kleppe_verdict each build the class's CurveFacts
 once and read it through verdict_of, dim_of and kleppe_of; the census calls
 those readers directly on one CurveFacts per record.  dim_of decides no rule
 of its own: it reads the dimension, between chi(N) = 4d and the tangent
-dimension h0(N) = 4d + h2(S,-L), off h2 and the two verdicts; that h0(N) is
-d+g+18 + h1(I_C(3)) is the Riemann-Roch count CurveFacts is built from.
+dimension h0(N) = 4d + h2(S,-L), off CurveFacts.h0_normal and the two
+verdicts; that h0(N) is d+g+18 + h1(I_C(3)) is the Riemann-Roch count
+CurveFacts is built from.
 """
 
 from __future__ import annotations
@@ -112,12 +113,6 @@ def verdict_of(facts: CurveFacts) -> ObstructionVerdict:
     return _UNDETERMINED
 
 
-def h0_normal(c: DivisorClass) -> int:
-    """h0 of the normal bundle, 4d + h0(S, C + 4K), off one curve_facts pass."""
-    f = curve_facts(c)
-    return 4 * f.d + f.h2
-
-
 class HilbertDimResult(NamedTuple):
     kind: str  # "exact" | "interval"
     method: str  # "smooth-point" | "theorem-1.1" | "prop-4.5" | "theorem-4.3"
@@ -146,7 +141,7 @@ def dim_of(facts: CurveFacts, verdict: ObstructionVerdict, kleppe: KleppeVerdict
 
     Every caller passes verdict_of(facts) and kleppe_of(facts), for which
     the bounds below hold by arithmetic, so none is checked again here.
-    (*) n = 4d + h2 = d+g+18 + h1(I_C(3)) is _standard_facts' arithmetic:
+    (*) n = h0_normal = 4d + h2 = d+g+18 + h1(I_C(3)) is _standard_facts' arithmetic:
     for d > 9 it sets h0(-L) = 0 and h1(I_C(3)) = h2 - (g - 3d + 18), with
     h2 >= 0 an h0 and h1(I_C(3)) >= 0 checked there.
     - Obstructed and Undetermined need h1(I_C(3)) >= 1 and h2 >= 1 (else
@@ -162,7 +157,7 @@ def dim_of(facts: CurveFacts, verdict: ObstructionVerdict, kleppe: KleppeVerdict
     d = facts.d
     if d <= 9:
         raise DegreeTooSmall(f"dimension rules require degree > 9, got d={d}")
-    n = 4 * d + facts.h2
+    n = facts.h0_normal
     if verdict.kind == "Unobstructed":
         return HilbertDimResult("exact", "smooth-point", n)
     if verdict.kind == "Undetermined":
@@ -226,18 +221,14 @@ def kleppe_of(facts: CurveFacts) -> KleppeVerdict:
     return _OPEN
 
 
-def gen_obstructed(k: int, dprime: tuple[int, int, int, int, int, int] = (0, 0, 0, 0, 0, 0)) -> DivisorClass:
-    """An obstructed class (14-k+a; b1+4,...,b5+4, k) from k in 0..2 and a
-    nef seed (a; b1..b5) on the blow-down along e6.
+def gen_obstructed(k: int, dprime: tuple[int, ...] = (0,) * 6) -> tuple[CurveFacts, ObstructionVerdict]:
+    """The facts and verdict of the obstructed class (14-k+a; b1+4,...,b5+4, k),
+    from k in 0..2 and a nef seed (a; b1..b5) on the blow-down along e6.
 
     The seed (a; b1..b5, 0) must be standard; the result is built standard,
-    meets e6 in b6 = k by construction and always classifies as Obstructed.
+    never reduced (_standard_facts checks it), meets e6 in b6 = k by
+    construction and always classifies as Obstructed.
     """
-    return _generated(k, dprime)[0].standard
-
-
-def _generated(k: int, dprime: tuple[int, ...]) -> tuple[CurveFacts, ObstructionVerdict]:
-    """gen_obstructed's facts and verdict, off one pass; _standard_facts checks the built class."""
     if not 0 <= k <= 2:
         raise InvalidK(f"k must be 0, 1 or 2, got {k}")
     # operator.index, not int: a float or a digit string is a TypeError, not truncated

@@ -23,16 +23,10 @@ from .cohomology import (
     is_effective,
     is_nef,
 )
-from .curve import abnormality, curve_facts, has_smooth_member, invariants
+from .curve import curve_facts, has_smooth_member, invariants
 from .census import enumerate_families
 from .lattice import K, DivisorClass, conics27, is_standard, lines27
-from .obstruction import (
-    _generated,
-    classify,
-    h0_normal,
-    hilbert_dim,
-    kleppe_verdict,
-)
+from .obstruction import classify, gen_obstructed, hilbert_dim, kleppe_verdict
 from .oracle import h0_interpolation
 
 D = DivisorClass.of
@@ -123,14 +117,14 @@ def _five_lines() -> tuple:
 def _adjoint_abn5() -> tuple:
     z = fixed_part(ABN5 + 3 * K)
     l12 = lines27()[6]
-    return (*_fixed_lines(z), any(l == l12 for l, _ in z.fixed), abnormality(ABN5, 3))
+    return (*_fixed_lines(z), any(l == l12 for l, _ in z.fixed), curve_facts(ABN5).defects[2])
 
 
 _hilbert = attrgetter("kind", "value", "method")
 
 
 def _mumford_generated() -> tuple:
-    facts, verdict = _generated(2, (0,) * 6)
+    facts, verdict = gen_obstructed(2)
     return (facts.standard, (facts.d, facts.g), *attrgetter("kind", "m", "rule")(verdict))
 
 
@@ -160,8 +154,8 @@ CHECKS = (
      (((lines27()[4], 1), (lines27()[5], 1)), D(3, 1, 1, 1, 1, 0, 0))),
     ("fixed-part-18-31", _five_lines, (5, True, D(2, 1, 1, 0, 0, 0, 0))),
     ("adjoint-fixed-part-18-31", _adjoint_abn5, (5, True, True, 5)),
-    ("cubic-defect-deg-3lam30", lambda: [lam for lam in range(9) if abnormality(_ex_triple_deg3(lam), 3) != 6], []),
-    ("cubic-defect-deg-2lam28", lambda: [lam for lam in range(9) if abnormality(_ex_even_deg(lam), 3) != 5], []),
+    ("cubic-defect-deg-3lam30", lambda: [lam for lam in range(9) if curve_facts(_ex_triple_deg3(lam)).defects[2] != 6], []),
+    ("cubic-defect-deg-2lam28", lambda: [lam for lam in range(9) if curve_facts(_ex_even_deg(lam)).defects[2] != 5], []),
     _obstruction_space_even_family,
     ("normal-bundle-h1-deg-3lam30",
      lambda: [lam for lam in range(9) if curve_facts(_ex_triple_deg3(lam)).h2 != (lam + 4) * (lam + 3) // 2], []),
@@ -171,11 +165,11 @@ CHECKS = (
     ("classify-16-29", lambda: attrgetter("kind", "witness_line", "m", "rule")(classify(D16G29)),
      ("Obstructed", lines27()[4], 1, "m=1")),
     ("classify-14-24", _mumford_generated, (MUMFORD, (14, 24), "Obstructed", 1, "m=1")),
-    ("hilbert-dim-16-29", lambda: (*_hilbert(hilbert_dim(D16G29)), h0_normal(D16G29), curve_facts(D16G29).h2),
+    ("hilbert-dim-16-29", lambda: (*_hilbert(hilbert_dim(D16G29)), (f := curve_facts(D16G29)).h0_normal, f.h2),
      ("exact", 64, "prop-4.5", 65, 1)),
     ("hilbert-dim-30-72", lambda: (invariants(_ex_triple_deg3(0)), *_hilbert(hilbert_dim(_ex_triple_deg3(0)))),
      ((30, 72), "exact", 120, "theorem-1.1")),
-    ("hilbert-dim-14-24", lambda: (*_hilbert(hilbert_dim(MUMFORD)), h0_normal(MUMFORD)),
+    ("hilbert-dim-14-24", lambda: (*_hilbert(hilbert_dim(MUMFORD)), curve_facts(MUMFORD).h0_normal),
      ("exact", 56, "theorem-1.1", 57)),
     ("maximality-verdicts", _maximality_verdicts, ("ProvenTheorem1", 120, "NotApplicable", "g<3d-18")),
     ("census-membership", lambda: tuple(

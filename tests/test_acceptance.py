@@ -43,7 +43,6 @@ from cubiccurves.lattice import (
 from cubiccurves.obstruction import (
     classify,
     gen_obstructed,
-    h0_normal,
     hilbert_dim,
     kleppe_verdict,
     restriction_surjective,
@@ -89,8 +88,8 @@ def test_criterion_01_regression_d16_g29(capfd):
     r = hilbert_dim(D16G29)
     if (r.kind, r.value, r.method) != ("exact", 64, "prop-4.5"):
         bad.append(f"dim {(r.kind, r.value, r.method)}")
-    if h0_normal(D16G29) != 65:
-        bad.append(f"h0(N) {h0_normal(D16G29)}")
+    if curve_facts(D16G29).h0_normal != 65:
+        bad.append(f"h0(N) {curve_facts(D16G29).h0_normal}")
     _verdict(capfd, 1, "d=16 g=29 regression: dim 64, h0(N)=65, Obstructed(m=1)", bad)
 
 
@@ -155,7 +154,8 @@ def test_criterion_04_adjoint_fixed_part_example(capfd):
 
 def test_criterion_05_mumford_class(capfd):
     bad = []
-    c = gen_obstructed(2)
+    facts = gen_obstructed(2)[0]
+    c = facts.standard
     if c != MUMFORD:
         bad.append(f"class {c}")
     if invariants(c) != (14, 24):
@@ -170,8 +170,9 @@ def test_criterion_05_mumford_class(capfd):
     h1l, h2l = abnormality(c, 3), h0(c + 4 * K)
     if not (h2l == 1 and d + g + 18 == d + g + 17 + h1l == 56):
         bad.append(f"branch agreement h1l={h1l} h2l={h2l}")
-    if h0_normal(c) != 57:
-        bad.append(f"h0(N) {h0_normal(c)}")
+    # the built facts and a fresh reducing pass give the same h0(N)
+    if (facts.h0_normal, curve_facts(c).h0_normal) != (57, 57):
+        bad.append(f"h0(N) {facts.h0_normal}, fresh {curve_facts(c).h0_normal}")
     _verdict(capfd, 5, "gen_obstructed(2) = Mumford (14,24): dim 56, both rules agree", bad)
 
 
@@ -193,7 +194,7 @@ def test_criterion_06_obstructed_grid(capfd):
     n = 0
     for k in (0, 1, 2):
         for s in seeds:
-            c = gen_obstructed(k, s)
+            c = gen_obstructed(k, s)[0].standard
             n += 1
             a, *b = s
             built = D(14 - k + a, *(x + 4 for x in b), k)
@@ -600,7 +601,7 @@ def test_criterion_10_consistency_web(capfd, census):
     bad = []
     records, _ = census
     for r in records:
-        n = h0_normal(r.cls)
+        n = curve_facts(r.cls).h0_normal  # a fresh pass, checked against the record's own numbers
         obstructed = r.verdict.kind == "Obstructed"
         if n != r.dim_w + r.h1_ic3:
             bad.append(f"{r.cls}: h0(N) {n} != {r.dim_w + r.h1_ic3}")

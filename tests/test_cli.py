@@ -426,20 +426,21 @@ GenusOutOfHodgeRange HilbertDimResult InvalidK InvariantViolation K KleppeVerdic
 NotEffective NotSmoothMember ObstructionVerdict OracleTooLarge Perm PointConfig PreconditionError
 StandardReduction ZariskiDecomposition abnormality apply_generator apply_word census_csv
 census_range classify cohomology conics27 degree enumerate_families euler_char exact_rank fixed_part
-gen_obstructed h0 h0_interpolation h0_normal has_smooth_member hilbert_dim hodge_genus_bound invariants
+gen_obstructed h0 h0_interpolation has_smooth_member hilbert_dim hodge_genus_bound invariants
 is_effective is_nef is_standard kleppe_verdict lines27 point_config
 reduce_to_standard require_smooth_member restriction_surjective
 """.split()
 
 
 def test_public_names_are_pinned():
-    # the pairing, the canonical class, d+g+18 and h1(N) have one spelling
-    # each: x.dot(y), K, a census record's dim_w and curve_facts(c).h2
+    # the pairing, the canonical class, d+g+18, h1(N) and h0(N) have one
+    # spelling each: x.dot(y), K, a census record's dim_w, curve_facts(c).h2
+    # and curve_facts(c).h0_normal
     assert cubiccurves.__all__ == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 54
+    assert len(PUBLIC_NAMES) == 53
     for module in {*cubiccurves._EXPORTS.values(), "cli", "verify"}:
         home = vars(importlib.import_module("cubiccurves." + module))
-        assert not {"intersect", "canonical", "ZERO", "flag_dim", "h1_normal"} & home.keys(), module
+        assert not {"intersect", "canonical", "ZERO", "flag_dim", "h1_normal", "h0_normal", "_generated"} & home.keys(), module
 
 
 FOOTPRINT = """

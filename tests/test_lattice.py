@@ -193,7 +193,7 @@ def test_reduce_word_replays():
         c = D(rng.randint(-6, 12), *(rng.randint(-6, 9) for _ in range(6)))
         red = reduce_to_standard(c)
         assert is_standard(red.standard)
-        assert apply_word(red.word, red.input) == red.standard
+        assert apply_word(red.word, c) == red.standard
         assert degree(red.standard) == degree(c)
         assert red.standard.square == c.square
 

@@ -10,7 +10,6 @@ from cubiccurves.obstruction import (
     _witnesses,
     classify,
     gen_obstructed,
-    h0_normal,
     hilbert_dim,
     kleppe_verdict,
     restriction_surjective,
@@ -89,21 +88,11 @@ def test_hilbert_dim_degree_guard():
 
 def test_normal_bundle_counts():
     assert curve_facts(D16G29).h2 == 1
-    assert h0_normal(D16G29) == 65
+    assert curve_facts(D16G29).h0_normal == 65
     (record,) = [r for r in census_range(16, 16, 29, 29)[0] if r.cls == D16G29]
     assert record.dim_w == 16 + 29 + 18
     assert curve_facts(MUMFORD).h2 == 1
-    assert h0_normal(MUMFORD) == 57
-
-
-def test_h0_normal_reads_one_curve_facts(monkeypatch):
-    from cubiccurves import obstruction
-
-    calls = []
-    facts = obstruction.curve_facts
-    monkeypatch.setattr(obstruction, "curve_facts", lambda c: calls.append(c) or facts(c))
-    assert h0_normal(D16G29) == 65
-    assert calls == [D16G29]
+    assert curve_facts(MUMFORD).h0_normal == 57
 
 
 def test_kleppe_verdicts():
@@ -174,10 +163,10 @@ def test_gen_obstructed_validation():
 
 
 def test_gen_obstructed_values():
-    assert gen_obstructed(2) == MUMFORD
-    assert gen_obstructed(0) == D(14, 4, 4, 4, 4, 4, 0)
-    assert gen_obstructed(1, (2, 1, 1, 0, 0, 0)) == D(15, 5, 5, 4, 4, 4, 1)
-    assert invariants(gen_obstructed(2)) == (14, 24)
+    assert gen_obstructed(2)[0].standard == MUMFORD
+    assert gen_obstructed(0)[0].standard == D(14, 4, 4, 4, 4, 4, 0)
+    assert gen_obstructed(1, (2, 1, 1, 0, 0, 0))[0].standard == D(15, 5, 5, 4, 4, 4, 1)
+    assert invariants(gen_obstructed(2)[0].standard) == (14, 24)
 
 
 def test_gen_obstructed_grid_all_obstructed():
@@ -194,9 +183,12 @@ def test_gen_obstructed_grid_all_obstructed():
     assert len(seeds) == 31
     for k in (0, 1, 2):
         for s in seeds:
-            c = gen_obstructed(k, s)
-            assert classify(c).kind == "Obstructed"
+            facts, verdict = gen_obstructed(k, s)
+            c = facts.standard
+            assert verdict.kind == "Obstructed"
             assert c.b[5] == k  # meets the sixth exceptional line k times
+            # the build that never reduces agrees with the reducing path, field for field
+            assert (facts, verdict) == (curve_facts(c), classify(c)), str(c)
 
 
 def test_line_multiplicity_bound_never_trips():

@@ -4,13 +4,18 @@
   it), a __debug__ name (False under -O) or a __doc__ read (None under -OO).
   The invariants are checks that raise, so they hold in every mode.
 - CurveFacts is built only in curve._standard_facts, the one constructor that
-  checks what it builds; obstruction.dim_of and h0_normal read h0(N) = 4d + h2
-  off it without checking it again, which is sound only while that holds.
+  checks what it builds; obstruction.dim_of reads h0(N) = 4d + h2 off its
+  CurveFacts.h0_normal without checking it again, sound only while that holds.
 - Every absolute import names a standard-library module, so the package
   runs on the standard library alone, as README promises.
+- Every public name has a reader: a package module other than __init__.py
+  names it, or the bench does (its files read as text), or it is pinned
+  below with its reason.  A name that nothing runs is a second route to
+  what a command already prints.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -20,6 +25,9 @@ import cubiccurves
 
 PACKAGE = Path(cubiccurves.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
+BENCH = PACKAGE.parents[1] / "bench"
+# apply_word defines what a reduce word means: the tests replay words through it
+READ_ONLY_BY_TESTS = {"apply_word"}
 
 
 def _mode_sensitive(tree: ast.AST) -> list[str]:
@@ -70,6 +78,19 @@ def _absolute_imports(tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Every name tree reads: each Name, each Attribute's attribute and each imported name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
 def _parse(path: Path) -> ast.AST:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -87,6 +108,9 @@ def test_the_guards_see_what_they_look_for():
     assert _mode_sensitive(tree) == ["2: assert", "3: __debug__", "4: __doc__ read", "4: __doc__ read"]
     assert _curve_facts_builds(tree) == [("f", 5), ("f", 5)]
     assert _absolute_imports(tree) == [(6, "gmpy2"), (6, "os")]
+    assert _referenced_names(tree) == {
+        "x", "__debug__", "__doc__", "strip", "f", "CurveFacts", "curve", "_make", "gmpy2", "os.path", "y"
+    }
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -105,3 +129,13 @@ def test_curve_facts_is_built_only_in_standard_facts():
 def test_imports_only_the_standard_library(path):
     outside = [(line, name) for line, name in _absolute_imports(_parse(path)) if name not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_every_public_name_has_a_reader():
+    read = set().union(*(_referenced_names(_parse(path)) for path in SOURCES if path.name != "__init__.py"))
+    bench = "\n".join(path.read_text(encoding="utf-8") for path in sorted(BENCH.glob("*.py")))
+    unread = [
+        name for name in cubiccurves.__all__
+        if name not in read and name not in READ_ONLY_BY_TESTS and not re.search(rf"\b{name}\b", bench)
+    ]
+    assert unread == []

@@ -31,7 +31,7 @@ FIELDS = {
     CensusRecord: ("cls", "d", "g", "h1_ic3", "h2", "normality", "verdict", "dim", "kleppe", "dim_w"),
     CohomologyTriple: ("h0", "h1", "h2", "chi"),
     ZariskiDecomposition: ("nef_part", "fixed"),
-    StandardReduction: ("input", "standard", "word"),
+    StandardReduction: ("standard", "word"),
     PointConfig: ("seed", "points"),
     Perm: ("sigma",),
     Cremona: ("i", "j", "k"),
