@@ -9,7 +9,8 @@ enumeration is a bounded partition walk, and its classes need no reduction.
 Census records are pure functions of the class, each built from one
 CurveFacts pass on plain integers, and come out in a fixed (d, g, class)
 order.  census_window_csv renders a window's CSV in forked processes, one
-per slice of degrees, each sending its rows back as text; records stay in
+per slice of degrees, each sending its rows back as raw text, not pickled;
+the parent renders any slice that does not come back whole.  Records stay in
 the process that builds them, because shipping them cost more than it saved.
 """
 
@@ -184,44 +185,42 @@ def _slices(d_min: int, d_max: int, n: int) -> list[tuple[int, int]]:
 def census_window_csv(d_min: int, d_max: int, g_min: int, g_max: int, workers: int = 1) -> str:
     """census_csv(census_range(d_min, d_max, g_min, g_max)[0]), byte for byte,
     from at most min(workers, CPUs) slices of degrees where os.fork exists
-    and no other thread runs.  This process renders the first slice and a
-    forked child each other one, sending back its CSV, or the exception it
-    raised, pickled.  The first error in degree order is raised; a child
-    that ends without a result raises ChildProcessError.  No child outlives
-    the call."""
+    and no other thread runs.  A forked child sends back each slice's CSV
+    past the first, then a NUL; this process renders, in degree order, every
+    slice that does not end in that NUL (its own, one it could not fork, one
+    whose child raised, died or was cut off).  So an error is raised as a
+    serial run raises it, and no child outlives the call."""
     _check_window(d_min, d_max, g_min, g_max)
     forkable = hasattr(os, "fork") and threading.active_count() == 1  # a fork beside threads can deadlock
     slices = _slices(d_min, d_max, min(workers, _cpus()) if forkable else 1)
-    children = []
+    pipes, pids = [], []
     try:
         for lo, hi in slices[1:]:
-            import pickle  # loaded only by a call that forks
             r, w = os.pipe()
-            if (pid := os.fork()) == 0:  # the child never returns
+            pipes.append(os.fdopen(r, "rb"))
+            try:
+                pid = os.fork()
+            except OSError:  # refused: the pipe stays empty, so the slice is rendered here
+                os.close(w)
+                continue
+            if pid == 0:  # the child never returns
                 try:
                     gc.disable()  # a collection would copy every inherited page it walks
-                    try:
-                        out = census_csv(census_range(lo, hi, g_min, g_max)[0])
-                    except Exception as e:
-                        out = e
                     with os.fdopen(w, "wb") as pipe:
-                        pipe.write(pickle.dumps(out))
+                        pipe.write(census_csv(census_range(lo, hi, g_min, g_max)[0]).encode() + b"\0")
                 finally:
                     os._exit(0)
             os.close(w)
-            children.append((pid, os.fdopen(r, "rb"), lo, hi))
-        texts = [census_csv(census_range(*slices[0], g_min, g_max)[0])]
-        for _, pipe, lo, hi in children:
-            try:
-                out = pickle.loads(pipe.read())
-            except (EOFError, pickle.UnpicklingError):  # nothing, or a cut-off payload
-                raise ChildProcessError(f"census worker for d {lo}..{hi} ended without a result") from None
-            if isinstance(out, Exception):
-                raise out
-            texts.append(out.partition("\n")[2])
+            pids.append(pid)
+        texts = []
+        for (lo, hi), pipe in zip(slices, [None, *pipes]):
+            out = pipe.read() if pipe else b""
+            text = out[:-1].decode() if out.endswith(b"\0") else census_csv(census_range(lo, hi, g_min, g_max)[0])
+            texts.append(text.partition("\n")[2] if texts else text)
     finally:
-        for pid, pipe, _, _ in children:
+        for pipe in pipes:
             pipe.close()
+        for pid in pids:
             os.kill(pid, signal.SIGKILL)  # stops a child still at work; one that has exited stays unreaped till here
             os.waitpid(pid, 0)
     return "".join(texts)

@@ -3,7 +3,7 @@
 Classes are written "a;b1,b2,b3,b4,b5,b6".  Output formats: table (default),
 json (byte-stable field order), csv.  Exit codes: 0 success, 1 usage or
 parse error, 2 precondition failure (invalid class for the operation), 3
-internal failure (a failed invariant, or a census worker that died).  Each
+internal failure (a failed invariant, or degenerate oracle points).  Each
 subcommand is registered once, in _build_parser, with the runner that maps
 its parsed arguments to (text, code).  Runners and renderers import what they
 use, so a command loads only that.
@@ -410,7 +410,7 @@ def run(argv=None) -> int:
     except PreconditionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (AssertionError, DegeneratePoints, ChildProcessError) as e:
+    except (AssertionError, DegeneratePoints) as e:
         print(f"internal error: {e!r}", file=sys.stderr)
         return 3
     if args.out:

@@ -1,9 +1,10 @@
 """Typed errors shared across the toolkit.
 
 PreconditionError subclasses mark calls outside an operation's documented
-domain (the CLI maps them to exit code 2).  Anything else that escapes is an
-internal failure (exit code 3); InvariantViolation is the explicit form of
-it, raised where a mathematical invariant of the engine fails.
+domain (the CLI maps them to exit code 2).  It maps two more to exit code
+3, an internal failure: AssertionError, whose explicit form InvariantViolation
+is raised where a mathematical invariant of the engine fails, and
+DegeneratePoints.  Any other exception escapes the CLI.
 """
 
 

@@ -19,7 +19,6 @@ CurveFacts is built from.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -231,8 +230,7 @@ def gen_obstructed(k: int, dprime: tuple[int, ...] = (0,) * 6) -> tuple[CurveFac
     """
     if not 0 <= k <= 2:
         raise InvalidK(f"k must be 0, 1 or 2, got {k}")
-    # operator.index, not int: a float or a digit string is a TypeError, not truncated
-    a, *b = map(operator.index, dprime)
+    a, *b = dprime
     if len(b) != 5:
         raise DprimeNotNef(f"seed needs six entries (a;b1..b5), got {dprime}")
     if not is_standard(DivisorClass(a, (*b, 0))):

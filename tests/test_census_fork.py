@@ -1,14 +1,15 @@
 """census --threads N: the CSV forks one process per slice of degrees.
 
 Every --threads value prints the bytes census_csv(census_range(...)[0])
-gives, in every output format and with or without os.fork.  Errors in a
-child surface as a serial run raises them, a child that dies is named, and
-no child outlives cli.run.  The fault cases also run in python -O
-subprocesses, where an assert would have vanished.
+gives, in every output format and with or without os.fork.  The parent
+renders every slice that does not come back whole, so a fault fails as a
+serial run does, a fault in a child alone or a refused fork still prints
+the serial bytes, and with no fault the parent renders one slice.  No child
+outlives cli.run and no fd is left open.  The fault cases also run in
+python -O subprocesses, where an assert would have vanished.
 """
 
 import os
-import pickle
 import subprocess
 import sys
 import threading
@@ -32,6 +33,10 @@ def _argv(d_min, d_max, g_min, g_max, *rest):
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
 
 
 @pytest.fixture
@@ -144,18 +149,58 @@ def test_invariant_violation_in_any_slice_exits_3_as_serially(degrees, eight_cpu
     _no_child_left()
 
 
+def test_the_parent_renders_one_slice(eight_cpus, monkeypatch, capfd):
+    # a silent fall-back to serial work would print the right bytes too
+    rendered, serial = [], census.census_range
+    monkeypatch.setattr(census, "census_range", lambda *w: rendered.append(w) or serial(*w))
+    window = (10, 22, 0, hodge_genus_bound(22))
+    assert run(_argv(*window, "--format", "csv", "--threads", "3")) == 0
+    assert capfd.readouterr().out == census_csv(serial(*window)[0])
+    assert rendered == [(10, 18, *window[2:])] and len(eight_cpus) == 2  # a child's calls stay in the child
+    _no_child_left()
+
+
 @pytest.mark.parametrize("death", ["exit", "cut-off"])
-def test_a_child_that_dies_is_named(death, eight_cpus, monkeypatch, capfd):
-    if death == "exit":
+def test_a_child_that_dies_leaves_its_slice_to_the_parent(death, eight_cpus, monkeypatch, capfd):
+    parent = os.getpid()
+    if death == "exit":  # the child dies before it writes
         facts = census._standard_facts
-        monkeypatch.setattr(census, "_standard_facts", lambda std, d, g: os._exit(1) if d == 22 else facts(std, d, g))
-    else:  # the child writes half its payload; the parent pickles nothing
-        dumps = pickle.dumps
-        monkeypatch.setattr(pickle, "dumps", lambda obj: dumps(obj)[:len(dumps(obj)) // 2])
-    assert run(_argv(10, 22, 0, hodge_genus_bound(22), "--format", "csv", "--threads", "2")) == 3
-    lo, hi = _slices(10, 22, 2)[-1]
-    assert capfd.readouterr() == (
-        "", f"internal error: ChildProcessError('census worker for d {lo}..{hi} ended without a result')\n")
+        monkeypatch.setattr(census, "_standard_facts",
+                            lambda std, d, g: os._exit(1) if os.getpid() != parent else facts(std, d, g))
+    else:  # the child writes half its bytes, then dies
+        fdopen = os.fdopen
+
+        def cut_off(fd, mode="r"):
+            pipe = fdopen(fd, mode)
+            if os.getpid() != parent:
+                def write(data):
+                    os.write(fd, data[:len(data) // 2])
+                    os._exit(1)
+                pipe.write = write
+            return pipe
+        monkeypatch.setattr(os, "fdopen", cut_off)
+    window = (10, 22, 0, hodge_genus_bound(22))
+    assert run(_argv(*window, "--format", "csv", "--threads", "2")) == 0
+    assert capfd.readouterr() == (census_csv(census_range(*window)[0]), "")
+    assert len(eight_cpus) == 1
+    _no_child_left()
+
+
+def test_a_refused_fork_leaves_its_slice_to_the_parent(monkeypatch, capfd):
+    monkeypatch.setattr(census, "_cpus", lambda: 8)
+    forks, fork = [], os.fork
+
+    def refuse_the_second():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+    monkeypatch.setattr(os, "fork", refuse_the_second)
+    fds = _open_fds()
+    window = (10, 22, 0, hodge_genus_bound(22))
+    assert run(_argv(*window, "--format", "csv", "--threads", "3")) == 0
+    assert capfd.readouterr() == (census_csv(census_range(*window)[0]), "")
+    assert len(forks) == 2 and _open_fds() == fds
     _no_child_left()
 
 
@@ -179,6 +224,8 @@ sys.exit(code)
 
 FORGE_22 = "census._standard_facts = lambda std, d, g: facts(std, d, g + 1000 * (d == 22))"
 DIE_22 = "census._standard_facts = lambda std, d, g: os._exit(1) if d == 22 else facts(std, d, g)"
+DIE_IN_CHILD = ("parent = os.getpid(); census._standard_facts = "
+                "lambda std, d, g: os._exit(1) if os.getpid() != parent else facts(std, d, g)")
 
 
 def _census_under(flags, patch, threads):
@@ -195,9 +242,11 @@ def test_fault_cases_in_a_fresh_interpreter(flags):
     assert serial.stdout == forked.stdout == ""
     assert forked.stderr == serial.stderr
     assert serial.stderr.startswith("internal error: InvariantViolation('genus ")
-    dead = _census_under(flags, DIE_22, "2")
-    assert (dead.returncode, dead.stdout) == (3, "")
-    assert dead.stderr == "internal error: ChildProcessError('census worker for d 20..22 ended without a result')\n"
-    clean = _census_under(flags, "", "2")
-    assert clean.returncode == 0, clean.stderr
-    assert clean.stdout == census_csv(census_range(10, 22, 0, hodge_genus_bound(22))[0])
+    dead = _census_under(flags, DIE_22, "1")
+    assert (dead.returncode, dead.stdout, dead.stderr) == (1, "", "")
+    forked = _census_under(flags, DIE_22, "2")
+    assert (forked.returncode, forked.stdout, forked.stderr) == (dead.returncode, dead.stdout, dead.stderr)
+    expected = census_csv(census_range(10, 22, 0, hodge_genus_bound(22))[0])
+    for patch in ("", DIE_IN_CHILD):  # a fault in the child alone leaves its slice to the parent
+        clean = _census_under(flags, patch, "2")
+        assert (clean.returncode, clean.stdout, clean.stderr) == (0, expected, ""), patch

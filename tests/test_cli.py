@@ -470,9 +470,12 @@ STDLIB_FOOTPRINT = """
 import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
 from cubiccurves import cli
+if "--threads" in sys.argv:  # two CPUs as the census sees them, so it forks
+    from cubiccurves import census
+    census._cpus = lambda: 2
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.run(sys.argv[2:])
-print(code, *[m for m in ("dataclasses", "inspect", "json", "csv") if m in sys.modules])
+print(code, *[m for m in ("dataclasses", "inspect", "json", "csv", "pickle") if m in sys.modules])
 """
 
 
@@ -484,14 +487,16 @@ def test_class_command_imports_only_its_modules():
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, src], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "module 'cubiccurves' has no attribute 'no_such_name'"
-    # no command loads dataclasses or inspect; json and csv load only for their
-    # format, and the census CSV, rendered by a %-template, loads neither
+    # no command loads dataclasses, inspect or pickle; json and csv load only
+    # for their format, and the census CSV, rendered by a %-template and
+    # forked or not, loads neither
     census = ["census", "--d-min", "10", "--d-max", "12", "--g-min", "0", "--g-max", "100"]
     cases = [([name, "12;4,4,4,4,2,2"], "0") for name in CLASS_COMMANDS]
     cases += [
         (["cohomology", "12;4,4,4,4,2,2", "--format", "json"], "0 json"),
         (["cohomology", "12;4,4,4,4,2,2", "--format", "csv"], "0 csv"),
         (census + ["--format", "csv"], "0"),
+        (census + ["--format", "csv", "--threads", "2"], "0"),
         (census + ["--format", "json"], "0 json"),
     ]
     for argv, loaded in cases:
